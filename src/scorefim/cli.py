@@ -23,7 +23,7 @@ from .presets import PRESETS, preset_config
 from .reporting import ManifestTimer, fmt, write_table, write_trajectory_csv
 from .data import Design
 from .saem import SaemConfig, StepSchedule, run_saem
-from .saem_general import run_general_saem
+from .saem_general import buffer_capacity, run_general_saem
 from .studies import load_study_config, parse_study_config, run_study
 
 
@@ -137,10 +137,10 @@ def _cmd_fit(args) -> int:
         trajectories = None
     elif method == "saem_general":
         cfg = _saem_config_from(raw.get("saem", {}), seed)
+        prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
+        capacity = buffer_capacity(cfg, prune_epsilon, raw.get("capacity"))
         res = run_general_saem(
-            model, ds, cfg, theta0=theta0,
-            prune_epsilon=float(raw.get("prune_epsilon", 1e-6)),
-            capacity=int(raw.get("capacity", 500)),
+            model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
         )
         theta_hat, fim, trajectories = res.theta, res.fim, res.trajectories
     elif method == "saem":

@@ -75,7 +75,8 @@ class Dataset:
         return len(self.records)
 
     def n_obs(self) -> np.ndarray:
-        return np.array([r.n_obs for r in self.records])
+        """Observations per record; cached and read-only."""
+        return self.memo("n_obs", lambda: _frozen([r.n_obs for r in self.records], dtype=int))
 
     def obs_matrix(self) -> np.ndarray | None:
         """Stacked (n, J) observations when the design is uniform, else None."""

@@ -419,9 +419,11 @@ class PkFixedVModel(LatentModel):
         """argmax of sum_l w_l sum_i log f(y_i, z_i^l; theta).
 
         ka, Cl and their variances are closed-form in the weighted latent
-        moments; V is a 1-D profile (safeguarded Newton on the derivative of
-        the weighted residual sum, with a bounded-Brent fallback) and sigma2
-        is closed-form given V.
+        moments; V is a 1-D profile (``_profile_v``: a Gauss-Newton first
+        step, then a safeguarded secant on the derivative of the weighted
+        residual sum, with a bounded-Brent fallback) and sigma2 is
+        closed-form given V.  On a uniform design the profile of the last
+        M-step on this dataset hands its per-entry factors to the next one.
         """
         W = float(np.sum(weights))
         if W <= 0 or len(latents) == 0:
@@ -438,12 +440,9 @@ class PkFixedVModel(LatentModel):
 
         if arrays is not None:
             Y, T, doses = arrays
-            evaluate = _FusedProfile(
-                Y[None], T[None], doses[None, :, None],
-                np.exp(stack[:, :, 0])[:, :, None],
-                np.exp(stack[:, :, 1])[:, :, None],
-                wn[:, None, None],
-            )
+            last = dataset.memo("pk_fixed_v_profile", dict)
+            evaluate = _FusedProfile(Y, T, doses, latents, wn, previous=last.get("profile"))
+            last["profile"] = evaluate
         else:
 
             def evaluate(V):
@@ -452,7 +451,7 @@ class PkFixedVModel(LatentModel):
                     r, rdv = self._residual_dv(dataset, Z, V)
                     rss += w * r.sum()
                     drss += w * (-2.0) * rdv.sum()
-                return rss, drss
+                return rss, drss, None
 
         V, rss_at_v = _profile_v(evaluate, V0)
         sigma2 = max(rss_at_v / Jtot, 1e-10)
@@ -461,66 +460,147 @@ class PkFixedVModel(LatentModel):
         )
 
 
-class _FusedProfile:
-    """Single-pass (rss, d rss/dV) over stacked buffer entries.
+# buffer entries per pass of _FusedProfile: a block's (B, n, J) arrays take
+# about 1.1 kB per observation, so they stay in a 2 MiB L2 cache at the desk
+# (n J = 600) and paper (n J = 1000) designs
+_PROFILE_BLOCK = 16
+_FACTORS = ("KA", "CL", "KAT", "CLT", "AT")  # per-entry factors _FusedProfile keeps
 
-    V-independent factors (exp(-ka t), dose ka, ...) are precomputed; each
-    evaluation costs one expm1 plus one exp on the large-|x| mask.
+
+class _FusedProfile:
+    """(rss, d rss/dV, Gauss-Newton curvature) of the weighted buffer objective
+
+        rss(V) = sum_l w_l sum_ij (y_ij - pred(t_ij; ka_il, V, Cl_il))^2
+
+    over stacked buffer entries l, with the branching of pk_prediction and
+    pk_prediction_dv: the direct two-exponential form where |x| > 30 and the
+    series of expm1(x)/x and of its derivative where |x| < 1e-4.
+
+    The V-independent factors of an entry (ka, Cl, ka t, Cl t and
+    dose ka t exp(-ka t)) are computed once, when the entry joins the buffer:
+    ``previous``, the profile of the last M-step, hands over the rows of the
+    entries still in the buffer (matched by identity) and the rows of pruned
+    entries are dropped.  Kept rows come first, so ``W`` is permuted to match.
+    When only the oldest entries were pruned, the new rows are written behind
+    the kept ones in the previous profile's arrays (``store``, whose "end"
+    marks the rows written so far, so a second successor cannot overwrite a
+    first); otherwise the kept rows are gathered into new arrays with room
+    for a quarter more entries and one block.  The arrays never grow past
+    that slack on the live buffer.
+
+    An evaluation walks the stacks in blocks of _PROFILE_BLOCK entries so each
+    block's temporaries stay in cache.  Its third value, 2 sum w (dpred/dV)^2,
+    is the Gauss-Newton curvature that _profile_v takes its first step from.
     """
 
-    def __init__(self, Y, T, D, KA, CL, W):
-        self.Y, self.T, self.W = Y, T, W
-        self.KAT = KA * T
-        self.E = np.exp(-self.KAT)  # exp(-ka t)
-        self.A = D * KA * self.E
-        self.CLT = CL * T
-        self.DKA = D * KA
-        self.KA, self.CL = KA, CL
+    def __init__(self, Y, T, D, latents, W, previous=None):
+        self.Y, self.T, self.D = Y, T, D
+        rows = {}
+        if previous is not None:
+            rows = {id(z): r for r, z in enumerate(previous.latents)}
+        reuse = [rows.get(id(z), -1) for z in latents]
+        order = [l for l, r in enumerate(reuse) if r >= 0]
+        kept = [reuse[l] for l in order]
+        m = len(order)
+        order += [l for l, r in enumerate(reuse) if r < 0]
+        self.latents = [latents[l] for l in order]  # holds them, so ids stay unique
+        self.W = np.asarray(W, dtype=float)[order]
+
+        L = len(order)
+        if (
+            m and previous.stop == previous.store["end"]
+            and kept == list(range(len(previous.W) - m, len(previous.W)))
+            and previous.stop + L - m <= len(previous.store["KA"])
+        ):
+            self.store, start = previous.store, previous.stop - m
+        else:
+            n, J = T.shape
+            size = L + L // 4 + _PROFILE_BLOCK
+            self.store = {k: np.empty((size, n)) for k in ("KA", "CL")}
+            self.store.update({k: np.empty((size, n, J)) for k in ("KAT", "CLT", "AT")})
+            start = 0
+            if m:
+                for k in _FACTORS:
+                    np.take(getattr(previous, k), kept, axis=0, out=self.store[k][:m], mode="clip")
+        self.stop = self.store["end"] = start + L
+        self.KA, self.CL, self.KAT, self.CLT, self.AT = (self.store[k][start:self.stop] for k in _FACTORS)
+        if L > m:
+            Z = np.stack([latents[l] for l in order[m:]])
+            ka = np.exp(Z[:, :, 0])[:, :, None]
+            cl = np.exp(Z[:, :, 1])[:, :, None]
+            self.KA[m:], self.CL[m:] = ka[:, :, 0], cl[:, :, 0]
+            kat = ka * T
+            self.KAT[m:] = kat
+            self.CLT[m:] = cl * T
+            self.AT[m:] = D[:, None] * ka * np.exp(-kat) * T
 
     def __call__(self, V):
-        u = self.CLT / V
-        x = self.KAT - u
-        small = np.abs(x) <= 30.0
-        xs = np.where(small, x, 1.0)
-        e1 = np.expm1(xs)
-        G = e1 / xs
-        Gp = (xs * e1 - e1 + xs) / (xs * xs)
-        tiny = np.abs(xs) < 1e-4
-        if tiny.any():
-            xt = xs[tiny]
-            G[tiny] = 1.0 + xt / 2.0 + xt**2 / 6.0 + xt**3 / 24.0
-            Gp[tiny] = 0.5 + xt / 3.0 + xt**2 / 8.0 + xt**3 / 30.0
-        AT = self.A * self.T
-        pred = AT / V * G
-        dv = AT / (V * V) * (u * Gp - G)
-        if not small.all():
-            big = ~small
-            eps = V * self.KA - self.CL
-            ecl = np.exp(-u[big])
-            diff = ecl - self.E[big]
-            base = np.broadcast_to(self.DKA / eps, pred.shape)[big]
-            pred[big] = base * diff
-            dv[big] = (
-                -np.broadcast_to(self.DKA * self.KA / eps**2, pred.shape)[big] * diff
-                + base * ecl * u[big] / V
-            )
-        resid = self.Y - pred
-        rss = float((self.W * resid**2).sum())
-        drss = float(-2.0 * (self.W * resid * dv).sum())
-        return rss, drss
+        n, J = self.T.shape
+        inv_v = 1.0 / V
+        rss = rdv = dvdv = 0.0
+        for s in range(0, len(self.W), _PROFILE_BLOCK):
+            b = slice(s, s + _PROFILE_BLOCK)
+            u = self.CLT[b] * inv_v
+            x = self.KAT[b] - u
+            ax = np.abs(x)
+            big = np.flatnonzero(ax > 30.0)  # flat indices: cheaper than masks
+            tiny = np.flatnonzero(ax < 1e-4) if ax.min() < 1e-4 else None
+            np.put(x, big, 1.0)
+            G = np.expm1(x)
+            Gp = x * G  # (x expm1(x) - expm1(x) + x) / x^2
+            Gp -= G
+            Gp += x
+            Gp /= np.multiply(x, x, out=ax)
+            G /= x  # expm1(x) / x
+            if tiny is not None:
+                xt = x.ravel()[tiny]
+                np.put(G, tiny, 1.0 + xt / 2.0 + xt**2 / 6.0 + xt**3 / 24.0)
+                np.put(Gp, tiny, 0.5 + xt / 3.0 + xt**2 / 8.0 + xt**3 / 30.0)
+            P = self.AT[b] * inv_v
+            dv = Gp  # V dpred/dV = (A t / V) (u G' - G)
+            dv *= u
+            dv -= G
+            dv *= P
+            pred = G
+            pred *= P
+            if big.size:
+                li = big // J  # flat (entry, individual) index
+                ka, cl = self.KA[b].ravel()[li], self.CL[b].ravel()[li]
+                dka = self.D[li % n] * ka
+                eps = V * ka - cl
+                ub = u.ravel()[big]
+                ecl = np.exp(-ub)
+                diff = ecl - np.exp(-self.KAT[b].ravel()[big])
+                base = dka / eps
+                np.put(pred, big, base * diff)
+                np.put(dv, big, V * (-(dka * ka / eps**2) * diff + base * ecl * ub * inv_v))
+            resid = np.subtract(self.Y, pred, out=pred)
+            w = self.W[b, None, None]
+            wx = np.multiply(resid, w, out=x)
+            rss += np.vdot(wx, resid)
+            rdv += np.vdot(wx, dv)
+            np.multiply(dv, w, out=wx)
+            dvdv += np.vdot(wx, dv)
+        return float(rss), float(-2.0 * rdv * inv_v), float(2.0 * dvdv * inv_v * inv_v)
 
 
 def _profile_v(evaluate, V0, max_iter=40):
-    """Minimize the 1-D profile over [V0/4, 4 V0] via safeguarded secant on
-    the derivative, with golden-section fallback; returns (V, rss(V))."""
+    """Minimize the 1-D profile over [V0/4, 4 V0]; returns (V, rss(V)).
+
+    ``evaluate(V)`` returns (rss, d rss/dV, curvature), the curvature None
+    where the caller has none.  The first step is the Gauss-Newton step
+    V0 - g0 / curvature, else a 1e-4 V0 probe downhill; from there a
+    safeguarded secant on the derivative runs, with a bounded-Brent fallback.
+    """
     lo, hi = V0 / 4.0, 4.0 * V0
-    f0, g0 = evaluate(V0)
+    f0, g0, c0 = evaluate(V0)
     gtol = 1e-8 * (1.0 + abs(f0))
     if abs(g0) < gtol:
         return V0, f0
-    h = 1e-4 * V0 * (-1.0 if g0 > 0 else 1.0)
-    V1 = float(np.clip(V0 + h, lo, hi))
-    f1, g1 = evaluate(V1)
+    V1 = float(np.clip(V0 - g0 / c0, lo, hi)) if c0 is not None and c0 > 0 else V0
+    if V1 == V0:
+        V1 = float(np.clip(V0 + 1e-4 * V0 * (-1.0 if g0 > 0 else 1.0), lo, hi))
+    f1, g1, _ = evaluate(V1)
     Va, ga, fa, Vb, gb, fb = V0, g0, f0, V1, g1, f1
     for _ in range(max_iter):
         if abs(gb) < gtol:
@@ -530,11 +610,11 @@ def _profile_v(evaluate, V0, max_iter=40):
         Vn = float(np.clip(Vb - gb * (Vb - Va) / (gb - ga), lo, hi))
         if Vn == Vb:
             break
-        fn, gn = evaluate(Vn)
+        fn, gn, _ = evaluate(Vn)
         # keep the two iterates with smallest |derivative|
         if abs(gn) > abs(gb):
             Vn = 0.5 * (Vn + Vb)
-            fn, gn = evaluate(Vn)
+            fn, gn, _ = evaluate(Vn)
         Va, ga, fa = Vb, gb, fb
         Vb, gb, fb = Vn, gn, fn
     if abs(gb) < 10.0 * gtol:

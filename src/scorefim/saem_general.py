@@ -29,7 +29,7 @@ from .fim import FimMatrix, score_outer_fim
 from .modelbase import ExpoFamilyModel, LatentModel
 from .params import ParamVector
 from .rng import substream
-from .saem import SaemConfig, _MhKernel, _proposal_scales, step_size
+from .saem import SaemConfig, StepSchedule, _MhKernel, _proposal_scales, step_size
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,23 @@ class WeightedSampleBuffer:
         return float(self.weights.sum())
 
 
+def _relaxed_weights(weights: np.ndarray, gamma_k: float, prune_epsilon: float):
+    """Existing weights scaled by (1-gamma) with the new draw's gamma appended
+    (none at gamma 0), and the mask of the entries pruning keeps."""
+    weights = weights * (1.0 - gamma_k)
+    if gamma_k > 0.0:
+        weights = np.append(weights, gamma_k)
+    return weights, weights >= prune_epsilon
+
+
 def buffer_update(buffer: WeightedSampleBuffer, z_k: np.ndarray, gamma_k: float) -> WeightedSampleBuffer:
     """Scale existing weights by (1-gamma), append the new draw at gamma, prune."""
     if not 0.0 <= gamma_k <= 1.0:
         raise DomainViolation("gamma must lie in [0, 1]", component="gamma")
-    weights = buffer.weights * (1.0 - gamma_k)
+    weights, keep = _relaxed_weights(buffer.weights, gamma_k, buffer.prune_epsilon)
     latents = list(buffer.latents)
     if gamma_k > 0.0:
         latents.append(np.array(z_k, dtype=float))
-        weights = np.append(weights, gamma_k)
-    keep = weights >= buffer.prune_epsilon
     dropped = float(weights[~keep].sum())
     latents = tuple(l for l, k in zip(latents, keep) if k)
     weights = weights[keep]
@@ -90,6 +97,36 @@ def buffer_update(buffer: WeightedSampleBuffer, z_k: np.ndarray, gamma_k: float)
         discarded_mass=buffer.discarded_mass * (1.0 - gamma_k) + dropped,
         dropped_cumulative=buffer.dropped_cumulative + dropped,
     )
+
+
+def max_buffer_length(schedule: StepSchedule, total_iterations: int, prune_epsilon: float) -> int:
+    """Most entries the buffer holds after pruning over a run.
+
+    The weights depend on the step sizes and prune_epsilon alone, never on
+    the draws, so the length a run reaches is known before it starts.
+    """
+    weights, longest = np.zeros(0), 0
+    for k in range(1, total_iterations + 1):
+        weights, keep = _relaxed_weights(weights, step_size(k, schedule), prune_epsilon)
+        weights = weights[keep]
+        longest = max(longest, weights.size)
+    return longest
+
+
+def buffer_capacity(config: SaemConfig, prune_epsilon: float, capacity=None) -> int:
+    """Buffer capacity for a run of ``config``: the length the buffer reaches,
+    or ``capacity`` when given; a capacity below that length is a ConfigError,
+    since the run would raise CapacityExceeded part way through."""
+    need = max_buffer_length(config.schedule, config.total_iterations, prune_epsilon)
+    if capacity is None:
+        return need
+    capacity = int(capacity)
+    if capacity < need:
+        raise ConfigError(
+            f"capacity {capacity} is below the {need} entries the sample buffer "
+            f"reaches with this schedule and prune_epsilon {prune_epsilon:g}"
+        )
+    return capacity
 
 
 def buffer_objective(buffer: WeightedSampleBuffer, model: LatentModel, dataset: Dataset, theta: ParamVector) -> float:

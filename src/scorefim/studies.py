@@ -34,7 +34,7 @@ from .params import ParamVector
 from .reporting import ManifestTimer, write_table, write_trajectory_csv
 from .rng import substream
 from .saem import SaemConfig, StepSchedule, run_saem
-from .saem_general import run_general_saem
+from .saem_general import buffer_capacity, run_general_saem
 
 # stream namespaces: replicate groups start at 100; 1 is reserved for
 # mc_reference_fim chunks, 2 for conditional-moment oracles
@@ -42,6 +42,9 @@ _GROUP_DATA = 100
 _GROUP_FIT = 200
 
 STUDY_KINDS = ("bias_table", "density", "saem_replication", "coverage", "meng_comparison")
+
+# models whose studies fit through the general weighted-buffer algorithm
+_GENERAL_MODELS = ("pk_nlme_fixed_v",)
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,10 @@ def parse_study_config(raw: dict) -> StudyConfig:
     components = tuple(
         (str(a), str(b)) for a, b in raw.get("components", [])
     )
+    prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
+    capacity = int(raw.get("capacity", 500))
+    if saem is not None and raw["model"] in _GENERAL_MODELS:
+        capacity = buffer_capacity(saem, prune_epsilon, raw.get("capacity"))
     return StudyConfig(
         kind=str(raw["kind"]),
         model=str(raw["model"]),
@@ -178,8 +185,8 @@ def parse_study_config(raw: dict) -> StudyConfig:
         components=components,
         saem=saem,
         reference_theta=ref,
-        prune_epsilon=float(raw.get("prune_epsilon", 1e-6)),
-        capacity=int(raw.get("capacity", 500)),
+        prune_epsilon=prune_epsilon,
+        capacity=capacity,
         em_tol=float(raw.get("em_tol", 1e-8)),
         em_max_iter=int(raw.get("em_max_iter", 2000)),
     )
@@ -526,7 +533,7 @@ def _fit_and_fim(model, ds, config: StudyConfig, m: int):
     if config.saem is None:
         raise ConfigError(f"coverage for {config.model} needs a saem config block")
     cfg = replace(config.saem, seed=seed_m)
-    if config.model == "pk_nlme_fixed_v":
+    if config.model in _GENERAL_MODELS:
         res = run_general_saem(
             model, ds, cfg, theta0=model.initial_theta(ds),
             prune_epsilon=config.prune_epsilon, capacity=config.capacity,

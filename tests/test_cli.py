@@ -153,3 +153,26 @@ def test_coverage_subcommand_kind_check(tmp_path):
         "seed": 5,
     })
     assert main(["coverage", "--config", str(study)]) == 2
+
+
+def test_exit_code_2_on_short_buffer_capacity(tmp_path, capsys):
+    from scorefim.presets import preset_config
+
+    raw = preset_config("pk_fixed_v_coverage")
+    raw["capacity"] = 500
+    study = _write(tmp_path / "study.json", raw)
+    assert main(["coverage", "--config", study, "--out", str(tmp_path / "o")]) == 2
+    times = [0.5, 1.0, 2.0, 5.0, 9.0, 24.0]
+    sim = _write(tmp_path / "sim.json", {
+        "model": "pk_nlme_fixed_v", "theta": [1.6, 31.0, 1.8, 0.4, 0.4, 0.75],
+        "design": {"n": 4, "times": times, "dose": 320.0}, "seed": 3,
+    })
+    data = str(tmp_path / "data.csv")
+    assert main(["simulate", "--config", sim, "--out", data]) == 0
+    # the README's schedule at the default prune_epsilon 1e-6 reaches 789 entries
+    fit = _write(tmp_path / "fit.json", {
+        "model": "pk_nlme_fixed_v", "capacity": 500,
+        "saem": {"burn_in": 1000, "total_iterations": 3000},
+    })
+    assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / "f")]) == 2
+    assert "below the 789 entries" in capsys.readouterr().err

@@ -70,3 +70,12 @@ def test_dataset_csv_rejects_garbage():
 def test_design_validation():
     with pytest.raises(DomainViolation):
         Design(n=0)
+
+
+def test_dataset_n_obs_cached_read_only():
+    ds = Dataset(tuple(IndividualRecord(y=np.ones(k)) for k in (2, 1, 3)))
+    sizes = ds.n_obs()
+    np.testing.assert_array_equal(sizes, [r.n_obs for r in ds.records])
+    assert ds.n_obs() is sizes
+    with pytest.raises(ValueError):
+        sizes[0] = 7

@@ -240,3 +240,100 @@ def test_initial_theta_feasible(pk, pk_data, pk_fixed_v, pk_fixed_v_data):
     # crude inits should land within a factor of a few of the truth
     assert 0.2 < t0["V"] / 31.0 < 5.0
     assert 0.2 < t0v["V"] / 31.0 < 5.0
+
+
+def _buffer_stack(ds, n_entries, seed):
+    """Latent entries around the fixed-V prior plus three rigged individuals:
+    two with V ka = Cl at V = 31, exactly and to 2e-6 (the |x| < 1e-4
+    series at x = 0 and x up to 8e-5), and one with a fast absorption (the
+    |x| > 30 direct branch)."""
+    rng = substream(seed, 0)
+    latents = []
+    for _ in range(n_entries):
+        Z = np.log([1.6, 1.8]) + rng.normal(0, 0.6, size=(ds.n, 2))
+        Z[0, 1] = Z[0, 0] + np.log(31.0)
+        Z[1, 1] = Z[1, 0] + np.log(31.0 * (1.0 - 2e-6))
+        Z[2, 0] = np.log(8.0)
+        latents.append(Z)
+    w = rng.uniform(0.1, 1.0, n_entries)
+    return latents, w / w.sum()
+
+
+def _profile_by_records(model, ds, latents, w, V):
+    """(rss, d rss/dV, 2 sum w dpred/dV^2) summed entry by entry through
+    _residual_dv, the route non-uniform designs take, and pk_prediction_dv."""
+    from scorefim.models.pk import _design_arrays
+
+    _, T, doses = _design_arrays(ds)
+    rss = drss = curv = 0.0
+    for wl, Z in zip(w, latents):
+        r, rdv = model._residual_dv(ds, Z, V)
+        dv = pk_prediction_dv(doses[:, None], T, np.exp(Z[:, :1]), V, np.exp(Z[:, 1:]))
+        rss += wl * r.sum()
+        drss += -2.0 * wl * rdv.sum()
+        curv += 2.0 * wl * (dv**2).sum()
+    return rss, drss, curv
+
+
+def test_fused_profile_matches_the_per_record_route(pk_fixed_v, pk_fixed_v_data):
+    from scorefim.models.pk import _PROFILE_BLOCK, _FusedProfile, _design_arrays
+
+    ds = pk_fixed_v_data
+    Y, T, doses = _design_arrays(ds)
+    latents, w = _buffer_stack(ds, 2 * _PROFILE_BLOCK + 5, 49)
+    kat = np.exp(np.stack(latents)[:, :, 0])[:, :, None] * T
+    x31 = kat - np.exp(np.stack(latents)[:, :, 1])[:, :, None] * T / 31.0
+    assert (np.abs(x31) > 30).any() and (np.abs(x31) < 1e-4).any()
+    prof = _FusedProfile(Y, T, doses, latents, w)
+    for V in (12.0, 31.0, 77.0):
+        np.testing.assert_allclose(
+            prof(V), _profile_by_records(pk_fixed_v, ds, latents, w, V), rtol=1e-12
+        )
+
+
+def test_fused_profile_keeps_rows_across_buffers(pk_fixed_v_data):
+    # rows handed over from the previous profile, appended in place or
+    # gathered into new stacks, evaluate exactly as a profile built afresh,
+    # and building a successor leaves its predecessor unchanged
+    from scorefim.models.pk import _FusedProfile, _design_arrays
+
+    Y, T, doses = _design_arrays(pk_fixed_v_data)
+    latents, w = _buffer_stack(pk_fixed_v_data, 40, 50)
+
+    def check(entries, previous):
+        wn = w[: len(entries)] / w[: len(entries)].sum()
+        prof = _FusedProfile(Y, T, doses, entries, wn, previous=previous)
+        assert prof(29.0) == _FusedProfile(Y, T, doses, entries, wn)(29.0)
+        return prof
+
+    first = check(latents[:20], None)
+    before = first(29.0)
+    grown = check(latents[:21], first)  # appended behind first's rows
+    assert grown.store is first.store and first(29.0) == before
+    sibling = check(latents[:20] + [latents[30]], first)  # first was extended already
+    assert sibling.store is not first.store and grown(29.0) == check(latents[:21], None)(29.0)
+    slid = check(latents[3:24], grown)  # oldest pruned, new appended
+    assert slid.store is grown.store
+    check(latents[4:10] + latents[11:25], slid)  # pruned inside: gathered afresh
+
+
+def test_profile_v_curvature_start_reaches_the_secant_minimum(pk_fixed_v_data):
+    from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_v
+
+    Y, T, doses = _design_arrays(pk_fixed_v_data)
+    latents, w = _buffer_stack(pk_fixed_v_data, 21, 51)
+    prof = _FusedProfile(Y, T, doses, latents, w)
+
+    def probe_only(V):
+        return prof(V)[:2] + (None,)
+
+    for V0 in (15.0, 31.0, 100.0):
+        f0, g0, c0 = prof(V0)
+        if V0 == 100.0:
+            assert V0 - g0 / c0 < V0 / 4.0  # the Gauss-Newton step is clipped
+        gtol = 1e-8 * (1.0 + abs(f0))
+        V_gn, f_gn = _profile_v(prof, V0)
+        V_probe, _ = _profile_v(probe_only, V0)
+        assert abs(prof(V_gn)[1]) < 10.0 * gtol
+        assert f_gn == prof(V_gn)[0]
+        assert V_gn == pytest.approx(V_probe, rel=1e-6)

@@ -7,13 +7,14 @@ import pytest
 from scorefim import Design, simulate_dataset
 from scorefim.errors import CapacityExceeded, DomainViolation, MStepFailure
 from scorefim.rng import substream
-from scorefim.saem import SaemConfig, StepSchedule, individual_delta, run_saem
+from scorefim.saem import SaemConfig, StepSchedule, individual_delta, run_saem, step_size
 from scorefim.saem_general import (
     WeightedSampleBuffer,
     buffer_gradient,
     buffer_objective,
     buffer_update,
     delta_update,
+    max_buffer_length,
     maximize_q,
     run_general_saem,
 )
@@ -68,6 +69,23 @@ def test_buffer_capacity_error():
     with pytest.raises(CapacityExceeded):
         for k in range(5):
             buf = buffer_update(buf, _z(k), 0.3)
+
+
+def test_max_buffer_length_follows_the_buffer():
+    sched = StepSchedule(10, 0.95, 0.6)
+    buf, longest = WeightedSampleBuffer(prune_epsilon=1e-3), 0
+    for k in range(1, 81):
+        buf = buffer_update(buf, _z(k), step_size(k, sched))
+        longest = max(longest, len(buf))
+    assert longest > 10
+    assert max_buffer_length(sched, 80, 1e-3) == longest
+    # the paper-scale and desk fixed-V schedules
+    paper = StepSchedule(1000, 0.95, 0.6)
+    assert max_buffer_length(paper, 3000, 1e-5) == 614
+    assert max_buffer_length(paper, 2389, 1e-5) == 500
+    assert max_buffer_length(paper, 2390, 1e-5) == 501
+    assert max_buffer_length(paper, 3000, 1e-6) == 789
+    assert max_buffer_length(StepSchedule(150, 0.95, 0.6), 400, 1e-5) == 176
 
 
 def test_buffer_rejects_bad_gamma():
@@ -170,6 +188,24 @@ def test_mstep_gradient_postcondition(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_th
     g = buffer_gradient(buf, pk_fixed_v, pk_fixed_v_data, theta)
     q = buffer_objective(buf, pk_fixed_v, pk_fixed_v_data, theta)
     assert np.linalg.norm(g) < 1e-6 * (1.0 + abs(q))
+
+
+def test_mstep_on_non_uniform_design(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta):
+    # records of different lengths take the per-record profile route, which
+    # has no curvature and starts from the probe step
+    from scorefim.data import Dataset, IndividualRecord
+    from scorefim.models.pk import _design_arrays
+
+    ds = Dataset(tuple(
+        IndividualRecord(y=r.y[: 10 - i % 3], times=r.times[: 10 - i % 3], dose=r.dose)
+        for i, r in enumerate(pk_fixed_v_data.records)
+    ))
+    assert _design_arrays(ds) is None
+    rng = substream(86, 0)
+    buf = WeightedSampleBuffer(prune_epsilon=0.0)
+    for g in (1.0, 0.5, 0.3):
+        buf = buffer_update(buf, pk_fixed_v.initial_latents(ds, pk_fixed_v_theta, rng), g)
+    maximize_q(buf, pk_fixed_v, ds, pk_fixed_v_theta, check_gradient=True)
 
 
 def test_mstep_never_decreases_current_objective(pk_fixed_v, pk_fixed_v_theta):

@@ -205,3 +205,16 @@ def test_run_study_dispatch():
     cfg = parse_study_config(_tiny_bias_raw(M=10, n_values=[20]))
     rep = run_study(cfg, out_dir=None, threads=1)
     assert rep.kind == "bias_table"
+
+
+def test_fixed_v_capacity_checked_at_parse_time():
+    # the buffer length follows from the schedule and prune_epsilon alone;
+    # the paper-scale preset reaches 614 entries (501 at iteration 2390)
+    assert parse_study_config(preset_config("pk_fixed_v_coverage")).capacity >= 614
+    assert parse_study_config(preset_config("pk_fixed_v_coverage", desk=True)).capacity == 176
+    raw = preset_config("pk_fixed_v_coverage")
+    raw["capacity"] = 500
+    with pytest.raises(ConfigError, match="capacity 500 is below the 614 entries"):
+        parse_study_config(raw)
+    raw["capacity"] = 700
+    assert parse_study_config(raw).capacity == 700
