@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,11 @@ from .errors import ConfigError, NumericalError, ScorefimError
 from .fim import conditional_score_fim, observed_fim, score_outer_fim, wald_confidence_intervals, write_fim_csv
 from .modelbase import simulate_dataset
 from .models import build_model, gaussian_mixture_em
-from .params import ParamVector
 from .presets import PRESETS, preset_config
 from .reporting import ManifestTimer, fmt, write_table, write_trajectory_csv
-from .data import Design
-from .saem import SaemConfig, StepSchedule, run_saem
+from .saem import run_saem
 from .saem_general import buffer_capacity, run_general_saem
-from .studies import load_study_config, parse_study_config, run_study
+from .studies import fit_route, parse_design_config, parse_saem_config, parse_study_config, run_study
 
 
 def _load_json(path) -> dict:
@@ -43,45 +42,6 @@ def _require(raw: dict, keys, context: str) -> None:
             raise ConfigError(f"{context} config missing key {k!r}")
 
 
-def _design_from(raw: dict) -> Design:
-    allowed = {"n", "n_obs", "times", "dose"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown design keys: {', '.join(sorted(unknown))}")
-    return Design(
-        n=int(raw.get("n", 1)),
-        n_obs=int(raw["n_obs"]) if "n_obs" in raw else None,
-        times=np.asarray(raw["times"], dtype=float) if "times" in raw else None,
-        dose=float(raw["dose"]) if "dose" in raw else None,
-    )
-
-
-def _saem_config_from(raw: dict, seed: int) -> SaemConfig:
-    allowed = {
-        "burn_in", "burn_value", "exponent", "total_iterations",
-        "mh_transitions_per_iter", "proposal_scales", "averaging", "thin",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown saem keys: {', '.join(sorted(unknown))}")
-    return SaemConfig(
-        schedule=StepSchedule(
-            burn_in=int(raw.get("burn_in", 1000)),
-            burn_value=float(raw.get("burn_value", 0.95)),
-            exponent=float(raw.get("exponent", 0.6)),
-        ),
-        total_iterations=int(raw.get("total_iterations", 3000)),
-        mh_transitions_per_iter=int(raw.get("mh_transitions_per_iter", 5)),
-        proposal_scales=(
-            np.asarray(raw["proposal_scales"], dtype=float)
-            if "proposal_scales" in raw else None
-        ),
-        averaging=raw.get("averaging", "off"),
-        thin=int(raw.get("thin", 1)),
-        seed=seed,
-    )
-
-
 def _cmd_simulate(args) -> int:
     raw = _load_json(args.config)
     _require(raw, ("model", "theta", "design"), "simulate")
@@ -90,7 +50,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"unknown simulate keys: {', '.join(sorted(unknown))}")
     model = build_model(raw["model"], n_params=len(raw["theta"]))
     theta = model.make_params(np.asarray(raw["theta"], dtype=float))
-    design = _design_from(raw["design"])
+    design = parse_design_config(raw["design"])
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     ds = simulate_dataset(model, theta, design, seed)
     out = Path(args.out or "dataset.csv")
@@ -117,11 +77,7 @@ def _cmd_fit(args) -> int:
     )
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     alpha = float(raw.get("alpha", 0.05))
-    default_method = {
-        "gaussian_mixture2": "em",
-        "pk_nlme_fixed_v": "saem_general",
-    }.get(raw["model"], "saem")
-    method = raw.get("method", default_method)
+    method = raw.get("method", fit_route(raw["model"]))
 
     out = Path(args.out or "fit_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -135,17 +91,16 @@ def _cmd_fit(args) -> int:
         theta_hat = model.canonicalize(res.theta)
         fim = conditional_score_fim(model, ds, theta_hat)
         trajectories = None
-    elif method == "saem_general":
-        cfg = _saem_config_from(raw.get("saem", {}), seed)
-        prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
-        capacity = buffer_capacity(cfg, prune_epsilon, raw.get("capacity"))
-        res = run_general_saem(
-            model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
-        )
-        theta_hat, fim, trajectories = res.theta, res.fim, res.trajectories
-    elif method == "saem":
-        cfg = _saem_config_from(raw.get("saem", {}), seed)
-        res = run_saem(model, ds, cfg, theta0=theta0)
+    elif method in ("saem", "saem_general"):
+        cfg = replace(parse_saem_config(raw.get("saem", {})), seed=seed)
+        if method == "saem":
+            res = run_saem(model, ds, cfg, theta0=theta0)
+        else:
+            prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
+            capacity = buffer_capacity(cfg, prune_epsilon, raw.get("capacity"))
+            res = run_general_saem(
+                model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
+            )
         theta_hat, fim, trajectories = res.theta, res.fim, res.trajectories
     else:
         raise ConfigError(f"unknown fit method {method!r}")

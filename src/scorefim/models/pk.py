@@ -545,6 +545,11 @@ class _FusedProfile:
             ax = np.abs(x)
             big = np.flatnonzero(ax > 30.0)  # flat indices: cheaper than masks
             tiny = np.flatnonzero(ax < 1e-4) if ax.min() < 1e-4 else None
+            if tiny is not None:
+                # the series replaces G and G' there; a nonzero x keeps the
+                # two divides below from computing 0/0 at x = 0
+                xt = x.ravel()[tiny]
+                np.put(x, tiny, 1.0)
             np.put(x, big, 1.0)
             G = np.expm1(x)
             Gp = x * G  # (x expm1(x) - expm1(x) + x) / x^2
@@ -553,7 +558,6 @@ class _FusedProfile:
             Gp /= np.multiply(x, x, out=ax)
             G /= x  # expm1(x) / x
             if tiny is not None:
-                xt = x.ravel()[tiny]
                 np.put(G, tiny, 1.0 + xt / 2.0 + xt**2 / 6.0 + xt**3 / 24.0)
                 np.put(Gp, tiny, 0.5 + xt / 3.0 + xt**2 / 8.0 + xt**3 / 30.0)
             P = self.AT[b] * inv_v

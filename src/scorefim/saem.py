@@ -7,18 +7,19 @@ and re-maximizes theta_k = theta-hat(s^k).  At the final iteration the
 score-based FIM estimate comes for free from the per-individual quantities
 Delta_i = -dpsi_i(theta) + <s_i, dphi_i(theta)>.
 
-The Metropolis-Hastings kernel (``_MhKernel``, shared with the general
-algorithm) runs one chain per individual.  Each iteration it makes a few
-random-walk sweeps and then, for models with a latent mirror (the PK
-flip-flop map swapping ka with ke = Cl/V), proposes every chain's mirror
-image, which the random walk alone cannot reach across the valley between
-the two modes (Kuhn & Lavielle 2005 mix kernels the same way).  The walk's
-proposals are learned during burn-in: a diagonal scale times one global
-multiplier at first, then, from the end of burn-in on, one covariance per
-chain estimated from its draws over the second half of burn-in and scaled by
-2.38^2/d (Haario, Saksman & Tamminen 2001).  Nothing adapts after burn-in,
-because adapting during the decreasing-step phase would break the
-stochastic-approximation contract.
+The start-up, draw step, thinned trajectory and chain diagnostics live in
+``_SaemRun``, which the general algorithm shares.  Its
+Metropolis-Hastings kernel (``_MhKernel``) runs one chain per individual.
+Each iteration it makes a few random-walk sweeps and then, for models with a
+latent mirror (the PK flip-flop map swapping ka with ke = Cl/V), proposes
+every chain's mirror image, which the random walk alone cannot reach across
+the valley between the two modes (Kuhn & Lavielle 2005 mix kernels the same
+way).  The walk's proposals are learned during burn-in: a diagonal scale
+times one global multiplier at first, then, from the end of burn-in on, one
+covariance per chain estimated from its draws over the second half of
+burn-in and scaled by 2.38^2/d (Haario, Saksman & Tamminen 2001).  Nothing
+adapts after burn-in, because adapting during the decreasing-step phase
+would break the stochastic-approximation contract.
 
 A Louis-style comparator for the observed FIM runs on the same draws when
 requested: it relaxes G_i (complete Hessian plus score outer product) and
@@ -27,11 +28,11 @@ D_i (complete score) and reports -(1/n) sum_i [G_i - D_i D_i^t].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, IndividualRecord
+from .data import Dataset
 from .errors import ConfigError, DomainViolation, MStepFailure
 from .fim import FimMatrix, _symmetrize_exact, score_outer_fim
 from .modelbase import ExpoFamilyModel, LatentModel
@@ -79,7 +80,6 @@ class SaemConfig:
     exact_estep: bool = False
     track_louis: bool = False
     thin: int = 1
-    adapt_proposals: bool = True
 
     def __post_init__(self):
         if self.total_iterations <= self.schedule.burn_in:
@@ -130,30 +130,6 @@ def individual_delta(model: ExpoFamilyModel, dataset: Dataset, stats: np.ndarray
     )
 
 
-def mh_transition(
-    model: LatentModel,
-    record: IndividualRecord,
-    z: np.ndarray,
-    theta: ParamVector,
-    proposal_scale,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One random-walk Metropolis step on p(z | y; theta) for a single record.
-
-    Gaussian proposal centered at z; a non-finite proposal log-likelihood
-    auto-rejects; the current z is returned on rejection.
-    """
-    ds = Dataset((record,))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    cur = model.complete_loglik(ds, z, theta)
-    prop = z + rng.standard_normal(z.shape) * np.asarray(proposal_scale, dtype=float)
-    new = model.complete_loglik(ds, prop, theta)
-    new = np.where(np.isfinite(new), new, -np.inf)
-    if np.log(rng.random()) < float(new[0] - cur[0]):
-        return prop[0]
-    return z[0]
-
-
 def _metropolis(model, dataset, Z, logf, prop, theta, rng):
     """Accept each row of prop with probability min(1, f(prop)/f(Z)), in place;
     a non-finite proposal log-likelihood auto-rejects.  Returns the count."""
@@ -183,12 +159,6 @@ def _mh_sweep(model, dataset, Z, logf, theta, scales, rng, n_steps):
     return Z, logf, accepted / (n_steps * dataset.n)
 
 
-def _proposal_scales(model, config, theta):
-    if config.proposal_scales is not None:
-        return np.array(config.proposal_scales, dtype=float)
-    return model.default_proposal_scales(theta)
-
-
 class _MhKernel:
     """The Metropolis-Hastings kernel every SAEM engine runs on p(z | y; theta).
 
@@ -205,12 +175,11 @@ class _MhKernel:
     diagonal proposal.
     """
 
-    def __init__(self, model, scales, burn_in, adapt):
+    def __init__(self, model, scales, burn_in):
         self.model = model
         self.scales = np.asarray(scales, dtype=float)
         self.mult = 1.0
         self.burn_in = burn_in
-        self.adapt = adapt
         self.window_start = burn_in - burn_in // 2  # window: k in (start, burn_in]
         self.factors = None  # (n, d, d) per-chain proposal factors once frozen
         self.mirror_moves = 0
@@ -228,7 +197,7 @@ class _MhKernel:
             self.mirror_moves += _metropolis(
                 model, dataset, Z, logf, model.mirror_latents(Z), theta, rng
             )
-        if self.adapt and k <= self.burn_in:
+        if k <= self.burn_in:
             # frozen after burn-in: adapting during the decreasing-step
             # phase would break the stochastic-approximation contract
             self.mult = float(np.clip(self.mult * np.exp(0.1 * (acc - 0.4)), 1e-3, 1e3))
@@ -257,6 +226,68 @@ class _MhKernel:
         return (2.38 / np.sqrt(d)) * np.linalg.cholesky(cov)
 
 
+class _SaemRun:
+    """What every SAEM engine shares around its own relaxation and M-step.
+
+    Start-up draws from stream 0 of ``config.seed``: the checked starting
+    theta and the initial latents.  ``draw`` then simulates Z^k from
+    p(z | y; theta_{k-1}) with the model's exact conditional sampler or the
+    MH kernel, ``record`` keeps the thinned trajectory, and ``results``
+    returns it with the chain diagnostics.
+    """
+
+    def __init__(
+        self, model: LatentModel, dataset: Dataset, config: SaemConfig, theta0: ParamVector | None
+    ):
+        self.model, self.dataset, self.config = model, dataset, config
+        self.rng = substream(config.seed, 0)
+        theta = theta0 if theta0 is not None else model.initial_theta(dataset)
+        model._check_dim(theta)
+        model.validate_params(theta)
+        self.theta0 = theta
+        self.Z = model.initial_latents(dataset, theta, self.rng)
+        scales = config.proposal_scales
+        if scales is None:
+            scales = model.default_proposal_scales(theta)
+        self.kernel = _MhKernel(model, scales, config.schedule.burn_in)
+        self.acc_rates = []
+        self._columns = {}
+
+    def draw(self, k: int, theta: ParamVector) -> np.ndarray:
+        """Latents of iteration k (1-based) drawn at theta = theta_{k-1}."""
+        if self.model.has_exact_conditional:
+            self.Z = self.model.sample_conditional(self.dataset, theta, self.rng)
+        else:
+            self.Z, acc = self.kernel(
+                self.dataset, self.Z, theta, self.rng, k, self.config.mh_transitions_per_iter
+            )
+            self.acc_rates.append(acc)
+        return self.Z
+
+    def due(self, k: int) -> bool:
+        """Whether iteration k enters the thinned trajectory."""
+        return k % self.config.thin == 0 or k == self.config.total_iterations
+
+    def record(self, k: int, gamma: float, theta: ParamVector, **columns) -> None:
+        """Append one trajectory row: k, gamma, theta and the engine's columns."""
+        row = {"iteration": k, "gamma": gamma, "theta": theta.values.copy(), **columns}
+        for name, value in row.items():
+            self._columns.setdefault(name, []).append(value)
+
+    def results(self, **diagnostics) -> tuple[dict, dict]:
+        """(trajectories, diagnostics), the engine's diagnostics last."""
+        trajectories = {name: np.array(values) for name, values in self._columns.items()}
+        theta_traj = trajectories["theta"]
+        tail = max(1, len(theta_traj) // 10)
+        return trajectories, {
+            "theta_sd_last10pct": theta_traj[-tail:].std(axis=0),
+            "acceptance_rate": float(np.mean(self.acc_rates)) if self.acc_rates else None,
+            "proposal_multiplier": self.kernel.mult,
+            "mirror_moves": self.kernel.mirror_moves,
+            **diagnostics,
+        }
+
+
 def run_saem(
     model: ExpoFamilyModel,
     dataset: Dataset,
@@ -277,58 +308,38 @@ def run_saem(
     if config.track_louis and config.exact_estep:
         raise ConfigError("the Louis comparator needs simulated draws, not exact E-steps")
 
-    rng = substream(config.seed, 0)
-    theta = theta0 if theta0 is not None else model.initial_theta(dataset)
-    model._check_dim(theta)
-    model.validate_params(theta)
-
+    run = _SaemRun(model, dataset, config, theta0)
     n, p = dataset.n, model.p
-    Z = model.initial_latents(dataset, theta, rng)
+    Z = run.Z
     stats = model.statistics(dataset, Z)
     state = SaemState(
         k=0,
-        theta=theta,
+        theta=run.theta0,
         stats=stats,
         latents=Z,
         stat_history_min=stats.copy(),
         stat_history_max=stats.copy(),
     )
 
-    kernel = _MhKernel(
-        model, _proposal_scales(model, config, theta),
-        config.schedule.burn_in, config.adapt_proposals,
-    )
-    use_exact_sampler = model.has_exact_conditional and not config.exact_estep
-
     track_louis = config.track_louis
     G = np.zeros((n, p, p)) if track_louis else None
     D = np.zeros((n, p)) if track_louis else None
-
-    K, Kb = config.total_iterations, config.schedule.burn_in
     averaging = config.averaging == "on_after_burn_in"
-    traj_iter, traj_gamma, traj_theta, traj_fim = [], [], [], []
-    traj_louis = [] if track_louis else None
-    traj_fim_avg = [] if averaging else None
-    acc_rates = []
     clamp_hits = 0
 
-    for k in range(1, K + 1):
+    for k in range(1, config.total_iterations + 1):
         gamma = step_size(k, config.schedule)
         if config.exact_estep:
             new_stats = model.conditional_stat_expectation(dataset, state.theta)
-        elif use_exact_sampler:
-            Z = model.sample_conditional(dataset, state.theta, rng)
-            new_stats = model.statistics(dataset, Z)
         else:
-            Z, acc = kernel(dataset, Z, state.theta, rng, k, config.mh_transitions_per_iter)
-            acc_rates.append(acc)
+            Z = run.draw(k, state.theta)
             new_stats = model.statistics(dataset, Z)
 
         state.stats = (1.0 - gamma) * state.stats + gamma * new_stats
         state.stat_history_min = np.minimum(state.stat_history_min, new_stats)
         state.stat_history_max = np.maximum(state.stat_history_max, new_stats)
 
-        if track_louis and not config.exact_estep:
+        if track_louis:
             sc = model.complete_score(dataset, Z, state.theta)
             he = model.complete_hessian(dataset, Z, state.theta)
             G = (1.0 - gamma) * G + gamma * (he + np.einsum("ij,ik->ijk", sc, sc))
@@ -346,7 +357,7 @@ def run_saem(
         state.theta = theta_new
         state.k = k
 
-        if averaging and k > Kb:
+        if averaging and k > config.schedule.burn_in:
             state.avg_count += 1
             if state.stat_average is None:
                 state.stat_average = state.stats.copy()
@@ -354,60 +365,34 @@ def run_saem(
                 state.stat_average += (state.stats - state.stat_average) / state.avg_count
         state.latents = None if config.exact_estep else Z
 
-        if k % config.thin == 0 or k == K:
-            traj_iter.append(k)
-            traj_gamma.append(gamma)
-            traj_theta.append(state.theta.values.copy())
+        if run.due(k):
             delta = individual_delta(model, dataset, state.stats, state.theta)
-            traj_fim.append((delta**2).mean(axis=0))
+            columns = {"fim_diag": (delta**2).mean(axis=0)}
             if track_louis:
-                louis_diag = -(
+                columns["louis_diag"] = -(
                     np.einsum("ill->il", G) - D**2  # type: ignore[index]
                 ).mean(axis=0)
-                traj_louis.append(louis_diag)
             if averaging and state.stat_average is not None:
                 th_avg = model.argmax_complete(dataset, state.stat_average)
                 d_avg = individual_delta(model, dataset, state.stat_average, th_avg)
-                traj_fim_avg.append((d_avg**2).mean(axis=0))
+                columns["fim_diag_averaged"] = (d_avg**2).mean(axis=0)
+            run.record(k, gamma, state.theta, **columns)
 
     delta_final = individual_delta(model, dataset, state.stats, state.theta)
     fim = score_outer_fim(delta_final, names=model.param_names, provenance="sa-byproduct")
-    fim = FimMatrix(fim.entries, "sa-byproduct", n, model.param_names)
 
     theta_avg = fim_avg = None
     if averaging and state.stat_average is not None:
         theta_avg = model.argmax_complete(dataset, state.stat_average)
         d_avg = individual_delta(model, dataset, state.stat_average, theta_avg)
-        fim_avg = FimMatrix(
-            score_outer_fim(d_avg, provenance="sa-byproduct").entries,
-            "sa-byproduct", n, model.param_names,
-        )
+        fim_avg = score_outer_fim(d_avg, names=model.param_names, provenance="sa-byproduct")
 
     louis = None
     if track_louis:
         entries = -(G - np.einsum("ij,ik->ijk", D, D)).mean(axis=0)
         louis = FimMatrix(_symmetrize_exact(entries), "louis-sa", n, model.param_names)
 
-    theta_traj = np.array(traj_theta)
-    tail = max(1, len(theta_traj) // 10)
-    diagnostics = {
-        "theta_sd_last10pct": theta_traj[-tail:].std(axis=0),
-        "acceptance_rate": float(np.mean(acc_rates)) if acc_rates else None,
-        "proposal_multiplier": kernel.mult,
-        "mirror_moves": kernel.mirror_moves,
-        "clamp_hits": clamp_hits,
-    }
-    trajectories = {
-        "iteration": np.array(traj_iter),
-        "gamma": np.array(traj_gamma),
-        "theta": theta_traj,
-        "fim_diag": np.array(traj_fim),
-    }
-    if track_louis:
-        trajectories["louis_diag"] = np.array(traj_louis)
-    if averaging:
-        trajectories["fim_diag_averaged"] = np.array(traj_fim_avg)
-
+    trajectories, diagnostics = run.results(clamp_hits=clamp_hits)
     return SaemResult(
         theta=state.theta,
         fim=fim,
@@ -417,49 +402,6 @@ def run_saem(
         trajectories=trajectories,
         state=state,
         diagnostics=diagnostics,
-    )
-
-
-def saem_iteration(
-    state: SaemState,
-    model: ExpoFamilyModel,
-    dataset: Dataset,
-    config: SaemConfig,
-    rng: np.random.Generator,
-) -> SaemState:
-    """One simulation / stochastic-approximation / maximisation cycle.
-
-    Exposed for stepwise inspection; run_saem is the batch driver.
-    """
-    k = state.k + 1
-    gamma = step_size(k, config.schedule)
-    if config.exact_estep:
-        new_stats = model.conditional_stat_expectation(dataset, state.theta)
-        Z = state.latents
-    elif model.has_exact_conditional:
-        Z = model.sample_conditional(dataset, state.theta, rng)
-        new_stats = model.statistics(dataset, Z)
-    else:
-        kernel = _MhKernel(
-            model, _proposal_scales(model, config, state.theta), 0, adapt=False
-        )
-        Z, _ = kernel(
-            dataset, state.latents.copy(), state.theta, rng, k,
-            config.mh_transitions_per_iter,
-        )
-        new_stats = model.statistics(dataset, Z)
-    stats = (1.0 - gamma) * state.stats + gamma * new_stats
-    try:
-        theta = model.argmax_complete(dataset, stats)
-        model.validate_params(theta)
-    except DomainViolation as exc:
-        raise MStepFailure(f"M-step infeasible at iteration {k}: {exc}", stats=stats) from exc
-    hist_min = np.minimum(state.stat_history_min, new_stats) if state.stat_history_min is not None else None
-    hist_max = np.maximum(state.stat_history_max, new_stats) if state.stat_history_max is not None else None
-    return SaemState(
-        k=k, theta=theta, stats=stats, latents=Z,
-        stat_average=state.stat_average, avg_count=state.avg_count,
-        stat_history_min=hist_min, stat_history_max=hist_max,
     )
 
 

@@ -28,8 +28,7 @@ from .errors import (
 from .fim import FimMatrix, score_outer_fim
 from .modelbase import ExpoFamilyModel, LatentModel
 from .params import ParamVector
-from .rng import substream
-from .saem import SaemConfig, StepSchedule, _MhKernel, _proposal_scales, step_size
+from .saem import SaemConfig, StepSchedule, _SaemRun, step_size
 
 
 @dataclass(frozen=True)
@@ -250,67 +249,28 @@ def run_general_saem(
     The same draws feed both the buffer and the Delta recursions; scores enter
     at theta_{k-1}, the value used for the simulation step.
     """
-    rng = substream(config.seed, 0)
-    theta = theta0 if theta0 is not None else model.initial_theta(dataset)
-    model._check_dim(theta)
-    model.validate_params(theta)
-
-    n, p = dataset.n, model.p
-    Z = model.initial_latents(dataset, theta, rng)
-    deltas = np.zeros((n, p))
+    run = _SaemRun(model, dataset, config, theta0)
+    theta = run.theta0
+    deltas = np.zeros((dataset.n, model.p))
     buffer = WeightedSampleBuffer(prune_epsilon=prune_epsilon, capacity=capacity)
 
-    kernel = _MhKernel(
-        model, _proposal_scales(model, config, theta),
-        config.schedule.burn_in, config.adapt_proposals,
-    )
-    use_exact = model.has_exact_conditional
-
-    K = config.total_iterations
-    traj_iter, traj_gamma, traj_theta, traj_fim, traj_pruned = [], [], [], [], []
-    acc_rates = []
-
-    for k in range(1, K + 1):
+    for k in range(1, config.total_iterations + 1):
         gamma = step_size(k, config.schedule)
-        if use_exact:
-            Z = model.sample_conditional(dataset, theta, rng)
-        else:
-            Z, acc = kernel(dataset, Z, theta, rng, k, config.mh_transitions_per_iter)
-            acc_rates.append(acc)
-
+        Z = run.draw(k, theta)
         scores = model.complete_score(dataset, Z, theta)
         deltas = delta_update(deltas, scores, gamma)
         buffer = buffer_update(buffer, Z, gamma)
         theta = maximize_q(buffer, model, dataset, theta)
+        if run.due(k):
+            run.record(
+                k, gamma, theta,
+                fim_diag=(deltas**2).mean(axis=0), pruned_mass=buffer.discarded_mass,
+            )
 
-        if k % config.thin == 0 or k == K:
-            traj_iter.append(k)
-            traj_gamma.append(gamma)
-            traj_theta.append(theta.values.copy())
-            traj_fim.append((deltas**2).mean(axis=0))
-            traj_pruned.append(buffer.discarded_mass)
-
-    fim = FimMatrix(
-        score_outer_fim(deltas, provenance="sa-byproduct").entries,
-        "sa-byproduct", n, model.param_names,
+    fim = score_outer_fim(deltas, names=model.param_names, provenance="sa-byproduct")
+    trajectories, diagnostics = run.results(
+        buffer_length=len(buffer), pruned_mass=buffer.discarded_mass
     )
-    theta_traj = np.array(traj_theta)
-    tail = max(1, len(theta_traj) // 10)
-    diagnostics = {
-        "theta_sd_last10pct": theta_traj[-tail:].std(axis=0),
-        "acceptance_rate": float(np.mean(acc_rates)) if acc_rates else None,
-        "proposal_multiplier": kernel.mult,
-        "mirror_moves": kernel.mirror_moves,
-        "buffer_length": len(buffer),
-        "pruned_mass": buffer.discarded_mass,
-    }
-    trajectories = {
-        "iteration": np.array(traj_iter),
-        "gamma": np.array(traj_gamma),
-        "theta": theta_traj,
-        "fim_diag": np.array(traj_fim),
-        "pruned_mass": np.array(traj_pruned),
-    }
     return GeneralSaemResult(
         theta=theta, fim=fim, trajectories=trajectories,
         buffer=buffer, deltas=deltas, diagnostics=diagnostics,

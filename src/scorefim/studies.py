@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .condoracle import conditional_moments, reference_fims
-from .data import Dataset, Design
+from .data import Design
 from .errors import ConfigError, NumericalError, ScorefimError
 from .fim import (
     FimMatrix,
@@ -31,7 +31,7 @@ from .kde import gaussian_kde, sample_moments
 from .modelbase import LatentModel
 from .models import build_model, gaussian_mixture_em, lmm_analytic_fim
 from .params import ParamVector
-from .reporting import ManifestTimer, write_table, write_trajectory_csv
+from .reporting import ManifestTimer, write_table
 from .rng import substream
 from .saem import SaemConfig, StepSchedule, run_saem
 from .saem_general import buffer_capacity, run_general_saem
@@ -43,8 +43,14 @@ _GROUP_FIT = 200
 
 STUDY_KINDS = ("bias_table", "density", "saem_replication", "coverage", "meng_comparison")
 
-# models whose studies fit through the general weighted-buffer algorithm
-_GENERAL_MODELS = ("pk_nlme_fixed_v",)
+# how each model is fitted: EM, the general weighted-buffer algorithm, or
+# (every model not listed) SAEM
+_FIT_ROUTES = {"gaussian_mixture2": "em", "pk_nlme_fixed_v": "saem_general"}
+
+
+def fit_route(model: str) -> str:
+    """Default fitting route of a model: "em", "saem_general" or "saem"."""
+    return _FIT_ROUTES.get(model, "saem")
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,48 @@ _SAEM_KEYS = {
 }
 
 
+def _config_block(raw, name: str, keys: set) -> dict:
+    """A ``name`` block checked to be a JSON object with no key outside ``keys``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(raw) - keys
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {', '.join(sorted(unknown))}")
+    return raw
+
+
+def parse_design_config(raw: dict) -> Design:
+    """Strict parser of a ``design`` block (study, ``scorefim simulate``)."""
+    raw = _config_block(raw, "design", _DESIGN_KEYS)
+    return Design(
+        n=int(raw.get("n", 1)),
+        n_obs=int(raw["n_obs"]) if "n_obs" in raw else None,
+        times=np.asarray(raw["times"], dtype=float) if "times" in raw else None,
+        dose=float(raw["dose"]) if "dose" in raw else None,
+    )
+
+
+def parse_saem_config(raw: dict) -> SaemConfig:
+    """Strict parser of a ``saem`` block (study, ``scorefim fit``); the
+    caller sets the seed."""
+    raw = _config_block(raw, "saem", _SAEM_KEYS)
+    return SaemConfig(
+        schedule=StepSchedule(
+            burn_in=int(raw.get("burn_in", 1000)),
+            burn_value=float(raw.get("burn_value", 0.95)),
+            exponent=float(raw.get("exponent", 0.6)),
+        ),
+        total_iterations=int(raw.get("total_iterations", 3000)),
+        mh_transitions_per_iter=int(raw.get("mh_transitions_per_iter", 5)),
+        proposal_scales=(
+            np.asarray(raw["proposal_scales"], dtype=float)
+            if "proposal_scales" in raw else None
+        ),
+        averaging=raw.get("averaging", "off"),
+        thin=int(raw.get("thin", 1)),
+    )
+
+
 def parse_study_config(raw: dict) -> StudyConfig:
     """Strict parser: unknown keys anywhere are rejected."""
     if not isinstance(raw, dict):
@@ -124,39 +172,8 @@ def parse_study_config(raw: dict) -> StudyConfig:
     model = build_model(raw["model"], n_params=len(raw["theta_star"]))
     theta = model.make_params(np.asarray(raw["theta_star"], dtype=float))
 
-    draw = dict(raw["design"])
-    unknown = set(draw) - _DESIGN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown design keys: {', '.join(sorted(unknown))}")
-    design = Design(
-        n=int(draw.get("n", 1)),
-        n_obs=int(draw["n_obs"]) if "n_obs" in draw else None,
-        times=np.asarray(draw["times"], dtype=float) if "times" in draw else None,
-        dose=float(draw["dose"]) if "dose" in draw else None,
-    )
-
-    saem = None
-    if "saem" in raw:
-        sdict = dict(raw["saem"])
-        unknown = set(sdict) - _SAEM_KEYS
-        if unknown:
-            raise ConfigError(f"unknown saem keys: {', '.join(sorted(unknown))}")
-        schedule = StepSchedule(
-            burn_in=int(sdict.get("burn_in", 1000)),
-            burn_value=float(sdict.get("burn_value", 0.95)),
-            exponent=float(sdict.get("exponent", 0.6)),
-        )
-        saem = SaemConfig(
-            schedule=schedule,
-            total_iterations=int(sdict.get("total_iterations", 3000)),
-            mh_transitions_per_iter=int(sdict.get("mh_transitions_per_iter", 5)),
-            proposal_scales=(
-                np.asarray(sdict["proposal_scales"], dtype=float)
-                if "proposal_scales" in sdict else None
-            ),
-            averaging=sdict.get("averaging", "off"),
-            thin=int(sdict.get("thin", 1)),
-        )
+    design = parse_design_config(raw["design"])
+    saem = parse_saem_config(raw["saem"]) if "saem" in raw else None
 
     ref = raw.get("reference_theta", "terminal_mean")
     if isinstance(ref, (list, tuple)):
@@ -169,7 +186,7 @@ def parse_study_config(raw: dict) -> StudyConfig:
     )
     prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
     capacity = int(raw.get("capacity", 500))
-    if saem is not None and raw["model"] in _GENERAL_MODELS:
+    if saem is not None and fit_route(raw["model"]) == "saem_general":
         capacity = buffer_capacity(saem, prune_epsilon, raw.get("capacity"))
     return StudyConfig(
         kind=str(raw["kind"]),
@@ -373,6 +390,11 @@ def _default_components(config: StudyConfig):
     return tuple((n, n) for n in names[:3])
 
 
+def _fit_seed(config: StudyConfig, m: int) -> int:
+    """Seed of replicate m's stochastic fit, from the stream (seed, _GROUP_FIT, m)."""
+    return int(np.random.SeedSequence(config.seed, spawn_key=(_GROUP_FIT, m)).generate_state(1)[0])
+
+
 # --------------------------------------------------------------------------
 # stochastic-approximation replication study (one dataset, M runs)
 
@@ -381,8 +403,7 @@ def _replication_worker(payload):
     model = _model_for(config)
     rng = substream(config.seed, _GROUP_DATA, 0)
     ds = model.simulate(config.theta_star, config.design, rng)
-    seed_m = int(np.random.SeedSequence(config.seed, spawn_key=(_GROUP_FIT, m)).generate_state(1)[0])
-    cfg = replace(config.saem, seed=seed_m, track_louis=True)
+    cfg = replace(config.saem, seed=_fit_seed(config, m), track_louis=True)
     theta0 = model.make_params(theta0_values)
     try:
         res = run_saem(model, ds, cfg, theta0=theta0)
@@ -521,8 +542,8 @@ def _coverage_worker(payload):
 
 
 def _fit_and_fim(model, ds, config: StudyConfig, m: int):
-    seed_m = int(np.random.SeedSequence(config.seed, spawn_key=(_GROUP_FIT, m)).generate_state(1)[0])
-    if config.model == "gaussian_mixture2":
+    route = fit_route(config.model)
+    if route == "em":
         res = gaussian_mixture_em(
             ds, model.initial_theta(ds), tol=config.em_tol, max_iter=config.em_max_iter
         )
@@ -532,8 +553,8 @@ def _fit_and_fim(model, ds, config: StudyConfig, m: int):
         return theta_hat, conditional_score_fim(model, ds, theta_hat)
     if config.saem is None:
         raise ConfigError(f"coverage for {config.model} needs a saem config block")
-    cfg = replace(config.saem, seed=seed_m)
-    if config.model in _GENERAL_MODELS:
+    cfg = replace(config.saem, seed=_fit_seed(config, m))
+    if route == "saem_general":
         res = run_general_saem(
             model, ds, cfg, theta0=model.initial_theta(ds),
             prune_epsilon=config.prune_epsilon, capacity=config.capacity,
@@ -605,13 +626,7 @@ def _meng_worker(payload):
     rng = substream(config.seed, _GROUP_DATA, m)
     ds = model.simulate(config.theta_star, config.design, rng)
     try:
-        res = gaussian_mixture_em(
-            ds, model.initial_theta(ds), tol=config.em_tol, max_iter=config.em_max_iter
-        )
-        if not res.converged:
-            raise NumericalError("EM hit its iteration limit")
-        theta_hat = model.canonicalize(res.theta)
-        fim = conditional_score_fim(model, ds, theta_hat)
+        theta_hat, fim = _fit_and_fim(model, ds, config, m)
         cis = wald_confidence_intervals(theta_hat, fim, config.alpha)
     except ScorefimError as exc:
         return {"error": str(exc)}

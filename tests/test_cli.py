@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from scorefim.cli import main
+from scorefim.errors import ConfigError
+from scorefim.studies import parse_study_config
 
 
 def _write(path, payload):
@@ -123,6 +125,33 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         "model": "lmm", "theta": [3, -2, 5], "design": {"n": 5, "n_obs": 3},
     })
     assert main(["simulate", "--config", str(domain)]) == 2
+
+
+@pytest.mark.parametrize("block, bad", [
+    ("design", {"n_obs": 12, "oops": 3}),
+    ("design", {"n": 0, "n_obs": 12}),
+    ("design", [25, 12]),
+    ("saem", {"garbage": 1}),
+    ("saem", [40, 120]),
+    ("saem", {"burn_in": 50, "total_iterations": 50}),
+    ("saem", {"averaging": "sometimes"}),
+])
+def test_bad_block_rejected_by_study_and_cli(tmp_path, lmm_sim_config, block, bad):
+    # one schema: the study parser and the CLI reject the same blocks
+    study = {
+        "kind": "bias_table", "model": "lmm", "theta_star": [3.0, 2.0, 5.0],
+        "design": {"n_obs": 12}, "n_values": [20], "M": 12, "seed": 5, block: bad,
+    }
+    with pytest.raises(ConfigError):
+        parse_study_config(study)
+    if block == "design":
+        sim = _write(tmp_path / "sim.json", {"model": "lmm", "theta": [3, 2, 5], "design": bad})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "d.csv")]) == 2
+    else:
+        data = str(tmp_path / "data.csv")
+        assert main(["simulate", "--config", lmm_sim_config, "--out", data]) == 0
+        fit = _write(tmp_path / "fit.json", {"model": "lmm", "saem": bad})
+        assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / "f")]) == 2
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path):

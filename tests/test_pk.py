@@ -217,7 +217,7 @@ def test_chain_started_in_the_mirror_mode_returns(pk, pk_desk_data):
     one = ds.subset([i])
     logf_main = pk.complete_loglik(one, main[None, :], theta)[0]
     assert pk.complete_loglik(one, image, theta)[0] < logf_main - 10.0
-    kernel = _MhKernel(pk, pk.default_proposal_scales(theta), burn_in=0, adapt=False)
+    kernel = _MhKernel(pk, pk.default_proposal_scales(theta), burn_in=0)
     Z = image.copy()
     rng = substream(48, 0)
     for k in range(1, 21):

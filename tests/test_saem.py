@@ -13,13 +13,11 @@ from scorefim.params import ParamVector
 from scorefim.rng import substream
 from scorefim.saem import (
     SaemConfig,
-    SaemState,
     StepSchedule,
+    _mh_sweep,
     individual_delta,
     louis_observed_fim_sa,
-    mh_transition,
     run_saem,
-    saem_iteration,
     step_size,
 )
 
@@ -47,16 +45,24 @@ def test_schedule_validation():
         SaemConfig(schedule=paper_schedule(100), total_iterations=100)
 
 
+def _one_step_from(model, record, z, theta, scale, rng, trials):
+    """One random-walk MH step from z in each of ``trials`` chains, all on
+    copies of one record; returns the (trials, d) end points."""
+    ds = Dataset((record,) * trials)
+    Z = np.tile(np.asarray(z, dtype=float), (trials, 1))
+    logf = model.complete_loglik(ds, Z, theta)
+    Z, _, _ = _mh_sweep(model, ds, Z, logf, theta, np.array([scale]), rng, 1)
+    return Z
+
+
 def test_mh_accepts_uphill(lmm, lmm_theta, lmm_data):
     # a proposal with higher complete log-likelihood is always accepted
     rec = lmm_data.records[0]
     rng = substream(1, 0)
     m, v = lmm._posterior(lmm_data.subset([0]), lmm_theta)
     far = np.array([m[0] + 25.0])
-    accepted = 0
-    for _ in range(50):
-        z_new = mh_transition(lmm, rec, far, lmm_theta, 1e-4, rng)
-        accepted += z_new[0] != far[0]
+    z_new = _one_step_from(lmm, rec, far, lmm_theta, 1e-4, rng, 50)
+    accepted = int(np.sum(z_new[:, 0] != far[0]))
     assert accepted == 50  # tiny steps from far out always move uphill
 
 
@@ -64,16 +70,13 @@ def test_mh_zero_scale_is_constant(lmm, lmm_theta, lmm_data):
     rec = lmm_data.records[0]
     rng = substream(1, 1)
     z = np.array([0.7])
-    for _ in range(10):
-        z_new = mh_transition(lmm, rec, z, lmm_theta, 0.0, rng)
-        np.testing.assert_array_equal(z_new, z)
+    z_new = _one_step_from(lmm, rec, z, lmm_theta, 0.0, rng, 10)
+    np.testing.assert_array_equal(z_new, np.tile(z, (10, 1)))
 
 
 def test_mh_long_run_matches_conjugate_posterior(lmm, lmm_theta):
     ds = simulate_dataset(lmm, lmm_theta, Design(n=15, n_obs=12), seed=61)
     m, v = lmm._posterior(ds, lmm_theta)
-    from scorefim.saem import _mh_sweep
-
     # one diagonal scale for all chains, then one proposal factor per chain
     per_chain = np.linspace(0.6, 1.0, ds.n)[:, None, None]
     for path, scales in enumerate((np.array([0.8]), per_chain)):
@@ -108,12 +111,9 @@ def test_mh_detailed_balance_smoke(lmm, lmm_theta):
 
     flows = {}
     for name, start in (("AB", A), ("BA", B)):
-        hits = 0
         trials = 150_000
-        for _ in range(trials):
-            z_new = mh_transition(lmm, rec, start, lmm_theta, scale, rng)
-            if abs(z_new[0] - (B if name == "AB" else A)[0]) < radius:
-                hits += 1
+        z_new = _one_step_from(lmm, rec, start, lmm_theta, scale, rng, trials)
+        hits = int(np.sum(np.abs(z_new[:, 0] - (B if name == "AB" else A)[0]) < radius))
         flows[name] = hits / trials
     lhs = np.exp(log_pi(A)) * flows["AB"]
     rhs = np.exp(log_pi(B)) * flows["BA"]
@@ -124,17 +124,13 @@ def test_mh_detailed_balance_smoke(lmm, lmm_theta):
 
 
 def test_gamma_one_erases_history(lmm, lmm_data, lmm_theta):
+    # gamma = 1 at every iteration: the statistics are those of the last draw
     cfg = SaemConfig(
         schedule=StepSchedule(burn_in=5, burn_value=1.0, exponent=0.6),
         total_iterations=6, seed=3,
     )
-    rng = substream(3, 0)
-    Z0 = lmm.initial_latents(lmm_data, lmm_theta, rng)
-    state = SaemState(
-        k=0, theta=lmm_theta, stats=lmm.statistics(lmm_data, Z0) + 123.0, latents=Z0,
-    )
-    new = saem_iteration(state, lmm, lmm_data, cfg, rng)
-    np.testing.assert_array_equal(new.stats, lmm.statistics(lmm_data, new.latents))
+    state = run_saem(lmm, lmm_data, cfg, theta0=lmm_theta).state
+    np.testing.assert_array_equal(state.stats, lmm.statistics(lmm_data, state.latents))
 
 
 def test_exact_estep_gamma_one_is_em_step(lmm, lmm_data, lmm_theta):
