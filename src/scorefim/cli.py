@@ -78,20 +78,21 @@ def _cmd_fit(args) -> int:
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     alpha = float(raw.get("alpha", 0.05))
     method = raw.get("method", fit_route(raw["model"]))
+    if method not in ("em", "saem", "saem_general"):
+        raise ConfigError(f"unknown fit method {method!r}")
 
-    out = Path(args.out or "fit_out")
-    out.mkdir(parents=True, exist_ok=True)
     timer = ManifestTimer({"fit": raw, "data": str(args.data)}, seed)
-
     if method == "em":
         res = gaussian_mixture_em(
             ds, theta0 if theta0 is not None else model.initial_theta(ds),
             tol=float(raw.get("em_tol", 1e-8)), max_iter=int(raw.get("em_max_iter", 2000)),
         )
+        if not res.converged:
+            raise NumericalError("EM hit its iteration limit")
         theta_hat = model.canonicalize(res.theta)
         fim = conditional_score_fim(model, ds, theta_hat)
         trajectories = None
-    elif method in ("saem", "saem_general"):
+    else:
         cfg = replace(parse_saem_config(raw.get("saem", {})), seed=seed)
         if method == "saem":
             res = run_saem(model, ds, cfg, theta0=theta0)
@@ -102,9 +103,9 @@ def _cmd_fit(args) -> int:
                 model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
             )
         theta_hat, fim, trajectories = res.theta, res.fim, res.trajectories
-    else:
-        raise ConfigError(f"unknown fit method {method!r}")
 
+    out = Path(args.out or "fit_out")
+    out.mkdir(parents=True, exist_ok=True)
     write_table(out / "theta.csv", ["parameter", "estimate"],
                 [[n, v] for n, v in zip(theta_hat.names, theta_hat.values)])
     timer.add_output(out / "theta.csv")

@@ -26,6 +26,7 @@ from .data import Dataset
 from .errors import NumericalError
 from .fim import FimMatrix, _symmetrize_exact
 from .modelbase import LatentModel
+from .parallel import pmap
 from .params import ParamVector
 from .rng import substream
 
@@ -100,6 +101,34 @@ def _mvt_draws(mode, cov, df, size, rng):
     return draws, logq
 
 
+def _individual_moments(task):
+    """(E[s | y_i], E[s s^t | y_i], E[H | y_i] or None, ESS) for one individual.
+
+    ``task`` carries the individual's one record, not the dataset; its draws
+    come from stream (seed, 2, i), so the result does not depend on which
+    process computes it.
+    """
+    model, record, theta, z0, i, n_draws, seed, df, min_ess, with_hessian = task
+    mode, cov = _laplace_fit(model, Dataset((record,)), 0, theta, z0)
+    draws, logq = _mvt_draws(mode, cov, df, n_draws, substream(seed, 2, i))
+    rep = Dataset((record,) * n_draws)
+    logf = model.complete_loglik(rep, draws, theta)
+    lw = logf - logq
+    lw -= lw.max()
+    w = np.exp(lw)
+    w /= w.sum()
+    ess = 1.0 / float((w**2).sum())
+    if ess < min_ess:
+        raise NumericalError(
+            f"importance sampling degenerate for individual {i} (ESS {ess:.1f})"
+        )
+    sc = model.complete_score(rep, draws, theta)
+    ehess = None
+    if with_hessian:
+        ehess = np.einsum("b,bjk->jk", w, model.complete_hessian(rep, draws, theta))
+    return w @ sc, np.einsum("b,bj,bk->jk", w, sc, sc), ehess, ess
+
+
 def conditional_moments(
     model: LatentModel,
     dataset: Dataset,
@@ -109,36 +138,29 @@ def conditional_moments(
     df: float = 5.0,
     min_ess: float = 200.0,
     with_hessian: bool = True,
+    threads: int = 1,
 ) -> ConditionalMoments:
-    """Per-individual conditional moments at theta by Laplace-IS."""
-    n, p = dataset.n, theta.p
-    escore = np.empty((n, p))
-    eouter = np.empty((n, p, p))
-    ehess = np.empty((n, p, p)) if with_hessian and model.has_complete_hessian else None
-    ess_all = np.empty(n)
+    """Per-individual conditional moments at theta by Laplace-IS.
+
+    Individuals are independent tasks fanned out over ``threads`` worker
+    processes.  Individual i's Laplace fit starts from row i of one shared
+    prior draw (stream (seed, 12345)) and its proposal draws come from
+    stream (seed, 2, i); results are stacked in index order, so the moments
+    are bitwise the same for any worker count.  An individual whose
+    importance weights have an ESS below ``min_ess`` raises NumericalError;
+    when several do, the error names the first in index order.
+    """
+    with_hessian = with_hessian and model.has_complete_hessian
     z_center = model.initial_latents(dataset, theta, substream(seed, 12345))
-    for i in range(n):
-        rng = substream(seed, 2, i)
-        mode, cov = _laplace_fit(model, dataset, i, theta, z_center[i])
-        draws, logq = _mvt_draws(mode, cov, df, n_draws, rng)
-        rep = Dataset(tuple([dataset.records[i]] * n_draws))
-        logf = model.complete_loglik(rep, draws, theta)
-        lw = logf - logq
-        lw -= lw.max()
-        w = np.exp(lw)
-        w /= w.sum()
-        ess = 1.0 / float((w**2).sum())
-        if ess < min_ess:
-            raise NumericalError(
-                f"importance sampling degenerate for individual {i} (ESS {ess:.1f})"
-            )
-        ess_all[i] = ess
-        sc = model.complete_score(rep, draws, theta)
-        escore[i] = w @ sc
-        eouter[i] = np.einsum("b,bj,bk->jk", w, sc, sc)
-        if ehess is not None:
-            ehess[i] = np.einsum("b,bjk->jk", w, model.complete_hessian(rep, draws, theta))
-    return ConditionalMoments(escore, eouter, ehess, ess_all)
+    tasks = [
+        (model, record, theta, z_center[i], i, n_draws, seed, df, min_ess, with_hessian)
+        for i, record in enumerate(dataset.records)
+    ]
+    escore, eouter, ehess, ess = zip(*pmap(_individual_moments, tasks, threads))
+    return ConditionalMoments(
+        np.stack(escore), np.stack(eouter),
+        np.stack(ehess) if with_hessian else None, np.array(ess),
+    )
 
 
 def reference_fims(moments: ConditionalMoments, names, n: int):

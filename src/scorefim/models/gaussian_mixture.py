@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ..data import Dataset, Design, IndividualRecord
+from ..data import Dataset, IndividualRecord
 from ..errors import DimensionMismatch, DomainViolation, MStepFailure
 from ..modelbase import ExpoFamilyModel
 from ..params import ParamVector

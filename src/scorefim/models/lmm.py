@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import Dataset, Design, IndividualRecord
+from ..data import Dataset, IndividualRecord
 from ..errors import DomainViolation, MStepFailure
 from ..fim import FimMatrix
 from ..modelbase import ExpoFamilyModel

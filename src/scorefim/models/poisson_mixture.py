@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from ..data import Dataset, Design, IndividualRecord
+from ..data import Dataset, IndividualRecord
 from ..errors import DimensionMismatch, DomainViolation, MStepFailure
 from ..modelbase import ExpoFamilyModel
 from ..params import ParamVector

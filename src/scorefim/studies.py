@@ -10,7 +10,7 @@ replicate order, and output files are byte-identical for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -30,6 +30,7 @@ from .fim import (
 from .kde import gaussian_kde, sample_moments
 from .modelbase import LatentModel
 from .models import build_model, gaussian_mixture_em, lmm_analytic_fim
+from .parallel import pmap as _pmap  # the replicate fan-out; bench/child.py swaps this name
 from .params import ParamVector
 from .reporting import ManifestTimer, write_table
 from .rng import substream
@@ -225,14 +226,6 @@ def _config_echo(config: StudyConfig) -> dict:
         "values": config.theta_star.values.tolist(),
     }
     return echo
-
-
-def _pmap(fn, payloads, threads: int):
-    if threads <= 1:
-        return [fn(p) for p in payloads]
-    chunk = max(1, len(payloads) // (8 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, payloads, chunksize=chunk))
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +428,9 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
     theta0 = model.initial_theta(ds)
 
     payloads = [(config, theta0.values, m) for m in range(config.M)]
+    t0 = time.perf_counter()
     results = _pmap(_replication_worker, payloads, threads)
+    replicates_s = time.perf_counter() - t0
     ok = [r for r in results if "error" not in r]
     failures = config.M - len(ok)
     if not ok:
@@ -446,9 +441,12 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
         theta_ref = model.make_params(np.mean([r["theta"] for r in ok], axis=0))
     else:
         theta_ref = model.make_params(np.asarray(config.reference_theta))
+    t0 = time.perf_counter()
     moments = conditional_moments(
         model, ds, theta_ref, n_draws=min(config.n_mc, 200_000), seed=config.seed,
+        threads=threads,
     )
+    oracle_s = time.perf_counter() - t0
     ref_sco, ref_obs = reference_fims(moments, model.param_names, ds.n)
     dsco = np.diag(ref_sco.entries)
     dobs = np.diag(ref_obs.entries)
@@ -501,6 +499,8 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
         timer.extra["failures"] = failures
         timer.extra["reference_theta"] = theta_ref.values.tolist()
         timer.extra["oracle_min_ess"] = float(moments.ess.min())
+        timer.extra["replicates_s"] = round(replicates_s, 3)
+        timer.extra["oracle_s"] = round(oracle_s, 3)
         timer.write(out)
         files.append(str(out / "manifest.json"))
 

@@ -94,6 +94,33 @@ def test_fit_gmm_em(tmp_path):
     assert float(theta["mu1"]) > float(theta["mu2"])  # canonical labels
 
 
+def test_fit_em_iteration_limit_is_a_numerical_failure(tmp_path, capsys):
+    # one EM step with zero tolerance cannot converge: no estimates are written
+    sim = _write(tmp_path / "sim.json", {
+        "model": "gaussian_mixture2", "theta": [2.0 / 3.0, 3.0, 0.0],
+        "design": {"n": 300}, "seed": 11,
+    })
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--config", sim, "--out", str(data)]) == 0
+    fit_cfg = _write(tmp_path / "fit.json", {
+        "model": "gaussian_mixture2", "em_max_iter": 1, "em_tol": 0.0,
+    })
+    out = tmp_path / "em_out"
+    assert main(["fit", "--config", fit_cfg, "--data", str(data), "--out", str(out)]) == 3
+    assert "EM hit its iteration limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_unknown_method_creates_no_output(tmp_path, lmm_sim_config, capsys):
+    data = str(tmp_path / "data.csv")
+    assert main(["simulate", "--config", lmm_sim_config, "--out", data]) == 0
+    fit_cfg = _write(tmp_path / "fit.json", {"model": "lmm", "method": "bogus"})
+    out = tmp_path / "fit_out"
+    assert main(["fit", "--config", fit_cfg, "--data", data, "--out", str(out)]) == 2
+    assert "unknown fit method" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_study_with_config(tmp_path):
     study = _write(tmp_path / "study.json", {
         "kind": "bias_table",

@@ -5,6 +5,7 @@ import pytest
 
 from scorefim import Design, conditional_score_fim, simulate_dataset
 from scorefim.condoracle import _laplace_fit, conditional_moments, reference_fims
+from scorefim.errors import NumericalError
 
 
 def test_oracle_matches_lmm_closed_forms(lmm, lmm_theta):
@@ -38,3 +39,31 @@ def test_laplace_fit_leaves_the_mirror_mode(pk, pk_desk_data):
     image = pk.mirror_latents(main[None, :])[0]
     got, _ = _laplace_fit(pk, ds, i, theta, image)
     np.testing.assert_allclose(got, main, atol=1e-4)
+
+
+def test_oracle_fan_out_matches_one_worker(pk, pk_desk_data):
+    # individuals are independent tasks on their own streams, stacked in order
+    ds, theta = pk_desk_data
+    sub = ds.subset([3, 17, 41, 42])
+    a = conditional_moments(pk, sub, theta, n_draws=3_000, seed=5, threads=1)
+    b = conditional_moments(pk, sub, theta, n_draws=3_000, seed=5, threads=2)
+    for name in ("escore", "escore_outer", "ehessian", "ess"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+def test_oracle_degenerate_individual_same_error_at_any_worker_count(pk, pk_desk_data):
+    ds, theta = pk_desk_data
+    sub = ds.subset(range(1, 7))
+    ess = conditional_moments(pk, sub, theta, n_draws=2_000, seed=5, min_ess=0.0).ess
+    # a bound that the two lowest-ESS individuals fail: the lower index is named
+    failing = np.argsort(ess)[:2]
+    bound = np.nextafter(ess[failing].max(), np.inf)
+    first = int(failing.min())
+    assert first > 0 and failing[0] != first
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(NumericalError) as err:
+            conditional_moments(pk, sub, theta, n_draws=2_000, seed=5, min_ess=bound, threads=threads)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert f"individual {first} " in messages[0]

@@ -337,3 +337,41 @@ def test_profile_v_curvature_start_reaches_the_secant_minimum(pk_fixed_v_data):
         assert abs(prof(V_gn)[1]) < 10.0 * gtol
         assert f_gn == prof(V_gn)[0]
         assert V_gn == pytest.approx(V_probe, rel=1e-6)
+
+
+def test_rss_memo_sees_latents_changed_in_place(pk, pk_data, pk_theta):
+    # the MH step writes accepted proposals into Z in place: the kept residual
+    # sums must not be returned for the changed latents
+    from scorefim import Dataset
+
+    ds = Dataset(pk_data.records)
+    Z = pk.initial_latents(ds, pk_theta, substream(3, 1))
+    first = pk.complete_loglik(ds, Z, pk_theta)
+    Z[::2] += 0.05
+    got = pk.complete_loglik(ds, Z, pk_theta)
+    assert not np.array_equal(got, first)
+    # each method on a fresh dataset computes its own sums
+    for method in ("complete_loglik", "complete_score", "complete_hessian", "statistics"):
+        args = (Z, pk_theta) if method != "statistics" else (Z,)
+        np.testing.assert_array_equal(
+            getattr(pk, method)(ds, *args), getattr(pk, method)(Dataset(ds.records), *args),
+            err_msg=method,
+        )
+
+
+def test_replicated_record_matches_the_single_record_rows(pk, pk_data, pk_theta):
+    from scorefim import Dataset
+    from scorefim.models.pk import _design_arrays
+
+    rec = pk_data.records[4]
+    n = 40
+    rep = Dataset((rec,) * n)
+    Y, T, doses = _design_arrays(rep)
+    assert Y.shape == T.shape == (n, rec.n_obs) and doses.shape == (n,)
+    assert not (Y.flags.writeable or T.flags.writeable or doses.flags.writeable)
+    Z = pk.initial_latents(rep, pk_theta, substream(4, 1))
+    one = Dataset((rec,))
+    for method in ("complete_loglik", "complete_score", "complete_hessian"):
+        got = getattr(pk, method)(rep, Z, pk_theta)
+        want = np.concatenate([getattr(pk, method)(one, Z[b:b + 1], pk_theta) for b in range(n)])
+        np.testing.assert_array_equal(got, want, err_msg=method)

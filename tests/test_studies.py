@@ -218,3 +218,18 @@ def test_fixed_v_capacity_checked_at_parse_time():
         parse_study_config(raw)
     raw["capacity"] = 700
     assert parse_study_config(raw).capacity == 700
+
+
+def test_pk_replication_threads_deterministic(tmp_path):
+    # the chains and the oracle's individuals both fan out over the workers
+    raw = preset_config("pk_replication", desk=True)
+    raw.update(M=2, n_mc=2_000, design={**raw["design"], "n": 8})
+    raw["saem"].update(burn_in=20, total_iterations=60)
+    cfg = parse_study_config(raw)
+    for threads in (1, 2):
+        run_study(cfg, out_dir=tmp_path / str(threads), threads=threads)
+    for name in ("replication.csv", "terminal_thetas.csv"):
+        a, b = (tmp_path / t / "saem_replication" / name for t in ("1", "2"))
+        assert a.read_bytes() == b.read_bytes(), name
+    manifest = json.loads((tmp_path / "2" / "saem_replication" / "manifest.json").read_text())
+    assert manifest["replicates_s"] > 0 and manifest["oracle_s"] > 0
