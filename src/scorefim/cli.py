@@ -92,6 +92,7 @@ def _cmd_fit(args) -> int:
         theta_hat = model.canonicalize(res.theta)
         fim = conditional_score_fim(model, ds, theta_hat)
         trajectories = None
+        diagnostics = {"iterations": res.n_iter, "converged": res.converged}
     else:
         cfg = replace(parse_saem_config(raw.get("saem", {})), seed=seed)
         if method == "saem":
@@ -103,6 +104,7 @@ def _cmd_fit(args) -> int:
                 model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
             )
         theta_hat, fim, trajectories = res.theta, res.fim, res.trajectories
+        diagnostics = res.diagnostics
 
     out = Path(args.out or "fit_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -120,6 +122,7 @@ def _cmd_fit(args) -> int:
         write_trajectory_csv(out / "trajectory.csv", trajectories, model.p)
         timer.add_output(out / "trajectory.csv")
     timer.extra["param_names"] = list(model.param_names)
+    timer.extra["diagnostics"] = diagnostics
     timer.write(out)
     for n, v in zip(theta_hat.names, theta_hat.values):
         print(f"{n} = {fmt(v)}")

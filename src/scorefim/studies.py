@@ -383,6 +383,11 @@ def _default_components(config: StudyConfig):
     return tuple((n, n) for n in names[:3])
 
 
+def _failure_reasons(results) -> list:
+    """[run, error] of every replicate that failed, in run order."""
+    return [[m, r["error"]] for m, r in enumerate(results) if "error" in r]
+
+
 def _fit_seed(config: StudyConfig, m: int) -> int:
     """Seed of replicate m's stochastic fit, from the stream (seed, _GROUP_FIT, m)."""
     return int(np.random.SeedSequence(config.seed, spawn_key=(_GROUP_FIT, m)).generate_state(1)[0])
@@ -435,6 +440,7 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
     failures = config.M - len(ok)
     if not ok:
         raise NumericalError("all replication runs failed")
+    failure_reasons = _failure_reasons(results)
 
     # reference theta: averaged terminal estimate unless pinned in the config
     if config.reference_theta == "terminal_mean":
@@ -497,10 +503,15 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
         timer.add_output(tpath)
         files.append(str(tpath))
         timer.extra["failures"] = failures
+        timer.extra["failure_reasons"] = failure_reasons
         timer.extra["reference_theta"] = theta_ref.values.tolist()
         timer.extra["oracle_min_ess"] = float(moments.ess.min())
         timer.extra["replicates_s"] = round(replicates_s, 3)
         timer.extra["oracle_s"] = round(oracle_s, 3)
+        timer.extra["oracle_fit_s"] = round(moments.fit_s, 3)
+        timer.extra["oracle_newton_iterations"] = moments.newton_iterations
+        timer.extra["oracle_mirror_refits"] = moments.mirror_refits
+        timer.extra["oracle_unconverged"] = list(moments.unconverged)
         timer.write(out)
         files.append(str(out / "manifest.json"))
 
@@ -574,10 +585,11 @@ def run_coverage_study(config: StudyConfig, out_dir=None, threads: int = 1) -> S
     results = _pmap(_coverage_worker, payloads, threads)
     ok = [r for r in results if "error" not in r]
     failures = config.M - len(ok)
+    failure_reasons = _failure_reasons(results)
     if failures >= 0.02 * config.M:
         raise NumericalError(
             f"{failures} of {config.M} replicates failed (limit 2%); "
-            f"first error: {next(r['error'] for r in results if 'error' in r)}"
+            f"first error: {failure_reasons[0][1]}"
         )
     cover = np.stack([r["cover"] for r in ok])
     coverage = cover.mean(axis=0)
@@ -596,6 +608,7 @@ def run_coverage_study(config: StudyConfig, out_dir=None, threads: int = 1) -> S
         timer.add_output(path)
         files.append(str(path))
         timer.extra["failures"] = failures
+        timer.extra["failure_reasons"] = failure_reasons
         timer.write(out)
         files.append(str(out / "manifest.json"))
     return StudyReport(
@@ -654,6 +667,7 @@ def run_meng_comparison(config: StudyConfig, out_dir=None, threads: int = 1) -> 
     results = _pmap(_meng_worker, payloads, threads)
     ok = [r for r in results if "error" not in r]
     failures = config.M - len(ok)
+    failure_reasons = _failure_reasons(results)
     if failures >= 0.02 * config.M:
         raise NumericalError(f"{failures} of {config.M} replicates failed (limit 2%)")
 
@@ -686,6 +700,7 @@ def run_meng_comparison(config: StudyConfig, out_dir=None, threads: int = 1) -> 
         timer.add_output(cpath)
         files.append(str(cpath))
         timer.extra["failures"] = failures
+        timer.extra["failure_reasons"] = failure_reasons
         timer.write(out)
         files.append(str(out / "manifest.json"))
     return StudyReport(

@@ -94,6 +94,41 @@ def test_fit_gmm_em(tmp_path):
     assert float(theta["mu1"]) > float(theta["mu2"])  # canonical labels
 
 
+_PK_TIMES = [0.5, 1.0, 2.0, 5.0, 9.0, 24.0]
+
+
+@pytest.mark.parametrize("model, theta, fit, expected", [
+    ("pk_nlme", [1.6, 31.0, 1.8, 0.4, 0.4, 0.4, 0.75],
+     {"saem": {"burn_in": 20, "total_iterations": 60}},
+     {"acceptance_rate", "proposal_multiplier", "mirror_moves", "clamp_hits"}),
+    ("pk_nlme_fixed_v", [1.6, 31.0, 1.8, 0.4, 0.4, 0.75],
+     {"saem": {"burn_in": 20, "total_iterations": 60}},
+     {"acceptance_rate", "proposal_multiplier", "mirror_moves", "buffer_length", "pruned_mass"}),
+    ("gaussian_mixture2", [2.0 / 3.0, 3.0, 0.0], {}, {"iterations", "converged"}),
+])
+def test_fit_manifest_records_diagnostics(tmp_path, model, theta, fit, expected):
+    design = {"n": 20, "times": _PK_TIMES, "dose": 320.0}
+    if model == "gaussian_mixture2":
+        design = {"n": 200}
+    sim = _write(tmp_path / "sim.json", {
+        "model": model, "theta": theta, "design": design, "seed": 4,
+    })
+    data = str(tmp_path / "data.csv")
+    assert main(["simulate", "--config", sim, "--out", data]) == 0
+    cfg = _write(tmp_path / "fit.json", {"model": model, **fit})
+    out = tmp_path / "fit_out"
+    assert main(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert expected <= set(diagnostics)
+    if "acceptance_rate" in expected:
+        assert 0.0 < diagnostics["acceptance_rate"] <= 1.0
+        assert diagnostics["proposal_multiplier"] > 0
+    if "buffer_length" in expected:
+        assert diagnostics["buffer_length"] > 0 and 0.0 <= diagnostics["pruned_mass"] < 1.0
+    if "converged" in expected:
+        assert diagnostics["converged"] is True and diagnostics["iterations"] > 1
+
+
 def test_fit_em_iteration_limit_is_a_numerical_failure(tmp_path, capsys):
     # one EM step with zero tolerance cannot converge: no estimates are written
     sim = _write(tmp_path / "sim.json", {

@@ -212,7 +212,7 @@ def test_chain_started_in_the_mirror_mode_returns(pk, pk_desk_data):
 
     ds, theta = pk_desk_data
     i = 41
-    main, _ = _laplace_fit(pk, ds, i, theta, np.log([theta["ka"], theta["Cl"], theta["V"]]))
+    (main,), _ = _laplace_fit(pk, ds.subset([i]), theta, np.log([[theta["ka"], theta["Cl"], theta["V"]]]))
     image = pk.mirror_latents(main[None, :])
     one = ds.subset([i])
     logf_main = pk.complete_loglik(one, main[None, :], theta)[0]

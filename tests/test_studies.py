@@ -233,3 +233,48 @@ def test_pk_replication_threads_deterministic(tmp_path):
         assert a.read_bytes() == b.read_bytes(), name
     manifest = json.loads((tmp_path / "2" / "saem_replication" / "manifest.json").read_text())
     assert manifest["replicates_s"] > 0 and manifest["oracle_s"] > 0
+    assert 0 <= manifest["oracle_fit_s"] <= manifest["oracle_s"]
+    assert manifest["oracle_newton_iterations"] > 0
+    assert manifest["oracle_mirror_refits"] >= 0 and manifest["oracle_unconverged"] == []
+    assert manifest["failure_reasons"] == []
+
+
+def _gmm_raw(kind):
+    return {
+        "kind": kind, "model": "gaussian_mixture2", "theta_star": [2.0 / 3.0, 3.0, 0.0],
+        "design": {"n": 200}, "M": 60, "seed": 31,
+    }
+
+
+def _pk_replication_raw():
+    raw = preset_config("pk_replication", desk=True)
+    raw.update(M=3, n_mc=2_000, design={**raw["design"], "n": 8})
+    raw["saem"].update(burn_in=20, total_iterations=60)
+    return raw
+
+
+@pytest.mark.parametrize("raw, patched, subdir", [
+    (_pk_replication_raw(), "run_saem", "saem_replication"),
+    (_gmm_raw("coverage"), "_fit_and_fim", "coverage"),
+    (_gmm_raw("meng_comparison"), "_fit_and_fim", "meng_comparison"),
+])
+def test_failure_reasons_in_manifest(tmp_path, monkeypatch, raw, patched, subdir):
+    # replicate 1 fails: its reason is kept, the CSVs keep their schema
+    from scorefim import studies
+    from scorefim.errors import NumericalError
+
+    original = getattr(studies, patched)
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalError("injected failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(studies, patched, fail_second)
+    rep = run_study(parse_study_config(raw), out_dir=tmp_path, threads=1)
+    assert rep.failures == 1
+    manifest = json.loads((tmp_path / subdir / "manifest.json").read_text())
+    assert manifest["failures"] == 1
+    assert manifest["failure_reasons"] == [[1, "injected failure"]]
