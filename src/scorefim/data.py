@@ -78,13 +78,6 @@ class Dataset:
         """Observations per record; cached and read-only."""
         return self.memo("n_obs", lambda: _frozen([r.n_obs for r in self.records], dtype=int))
 
-    def obs_matrix(self) -> np.ndarray | None:
-        """Stacked (n, J) observations when the design is uniform, else None."""
-        sizes = {r.n_obs for r in self.records}
-        if len(sizes) != 1:
-            return None
-        return np.stack([r.y for r in self.records])
-
     def subset(self, indices) -> "Dataset":
         truth = None
         if self.latent_truth is not None:

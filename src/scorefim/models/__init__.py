@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..errors import ConfigError
 from .gaussian_mixture import GaussianMixtureModel, gaussian_mixture_em
 from .lmm import LinearMixedModel, lmm_analytic_fim
-from .pk import PkFixedVModel, PkNlmeModel, pk_prediction, pk_prediction_dv
+from .pk import PkFixedVModel, PkNlmeModel, pk_prediction
 from .poisson_mixture import PoissonMixtureModel
 
 MODEL_IDS = (
@@ -51,5 +51,4 @@ __all__ = [
     "gaussian_mixture_em",
     "lmm_analytic_fim",
     "pk_prediction",
-    "pk_prediction_dv",
 ]

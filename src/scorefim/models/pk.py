@@ -1,12 +1,16 @@
 """One-compartment oral-absorption pharmacokinetic mixed models.
 
 Structural model for dose d at time t with absorption rate ka, volume V and
-clearance Cl:
+clearance Cl, written with u = Cl t / V and y = -|ka t - u|:
 
-    pred = d ka / (V ka - Cl) [exp(-(Cl/V) t) - exp(-ka t)]
+    pred = d ka / (V ka - Cl) [exp(-u) - exp(-ka t)]
+         = (d ka t / V) exp(-min(ka t, u)) g(y),   g(y) = expm1(y) / y,  g(0) = 1.
 
-computed through expm1 so the removable singularity at V ka = Cl and the
-cancellation around it cost no precision.  Two hierarchical variants:
+Since y <= 0, g(y) lies in (0, 1] and exp(-min(ka t, u)) <= 1, so no factor
+can overflow at any rate or time, and expm1 keeps the removable singularity
+at V ka = Cl (y = 0) and the cancellation around it free of precision loss.
+At t = 0 the prediction and its V-derivative are exactly 0.  Two
+hierarchical variants:
 
 * ``PkNlmeModel`` - all three individual parameters are lognormal random
   effects; the complete likelihood is curved-exponential with statistics
@@ -30,73 +34,68 @@ _LOG2PI = np.log(2.0 * np.pi)
 # latent coordinate order: (log ka_i, log Cl_i, log V_i)
 _LAT_NAMES = ("log_ka", "log_cl", "log_v")
 
-
-def _expm1_ratio(x):
-    """expm1(x)/x with the limit value 1 at x = 0; elementwise."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0.0
-    out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
+# below this |y|, g and the derivative factor h come from their series:
+# the direct forms of h lose digits to cancellation there, and y = 0 is 0/0
+_SERIES = 1e-4
 
 
-def _expm1_ratio_deriv(x):
-    """d/dx [expm1(x)/x], series below 1e-4 to dodge cancellation."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = 0.5 + xs / 3.0 + xs**2 / 8.0 + xs**3 / 30.0
-    xl = x[~small]
-    out[~small] = (xl * np.exp(xl) - np.expm1(xl)) / xl**2
-    return out
+def _pk_core(kat, clt, dkat, V, dv=False):
+    """pred from the factors ka t, Cl t and d ka t, plus dpred/dV if ``dv``.
+
+    With P = (d ka t / V) exp(-min(ka t, u)), pred = P g(y) and
+
+        V dpred/dV = P u h - pred,   h = g'(y)                   where ka t < u,
+                                     h = (expm1(y) - y) / y^2    otherwise,
+
+    the second being g(y) - g'(y).  Broadcasts over all arguments.
+    """
+    u = clt / V
+    P = np.exp(-np.minimum(kat, u)) * dkat
+    P /= V
+    y = np.asarray(-np.abs(kat - u))
+    small = y > -_SERIES
+    ys = y[small] if small.any() else None
+    if ys is not None:
+        y[small] = -1.0  # keeps the divides finite; the series replaces them
+    em = np.expm1(y)
+    g = np.asarray(em / y)
+    if ys is not None:
+        g[small] = 1.0 + ys / 2.0 + ys**2 / 6.0 + ys**3 / 24.0
+    if dv:
+        lo = np.asarray(kat < u)
+        h = em - y
+        h = np.where(lo, y * em - h, h)  # y^2 g'(y) where ka t < u
+        h /= y
+        h /= y
+        if ys is not None:
+            h[small] = np.where(
+                lo[small],
+                0.5 + ys / 3.0 + ys**2 / 8.0 + ys**3 / 30.0,
+                0.5 + ys / 6.0 + ys**2 / 24.0 + ys**3 / 120.0,
+            )
+        h *= u
+        h -= g
+        h = h * P
+        h /= V
+    P *= g
+    return (P, h) if dv else P
 
 
 def pk_prediction(dose, t, ka, V, Cl):
-    """Concentration at times t; broadcasts over all arguments.
-
-    For large |x|, x = (V ka - Cl) t / V, the expm1 form would overflow before
-    the prediction does, so the code switches to the direct two-exponential
-    difference there (no cancellation risk in that regime).
-    """
+    """Concentration at times t; broadcasts over all arguments."""
     t = np.asarray(t, dtype=float)
-    ka, V, Cl = np.asarray(ka, float), np.asarray(V, float), np.asarray(Cl, float)
-    x = (ka - Cl / V) * t
-    safe = np.abs(x) <= 30.0
-    xs = np.where(safe, x, 0.0)
-    pred_small = dose * ka * t / V * np.exp(-ka * t) * _expm1_ratio(xs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps = V * ka - Cl
-        eps_safe = np.where(eps == 0.0, 1.0, eps)
-        pred_large = dose * ka / eps_safe * (np.exp(-Cl / V * t) - np.exp(-ka * t))
-    return np.where(safe, pred_small, pred_large)
-
-
-def pk_prediction_dv(dose, t, ka, V, Cl):
-    """d pred / d V at fixed (ka, Cl); same branching as pk_prediction."""
-    t = np.asarray(t, dtype=float)
-    ka, V, Cl = np.asarray(ka, float), np.asarray(V, float), np.asarray(Cl, float)
-    x = (ka - Cl / V) * t
-    safe = np.abs(x) <= 30.0
-    xs = np.where(safe, x, 0.0)
-    C = dose * ka * np.exp(-ka * t)
-    dv_small = C * t / V**2 * (-_expm1_ratio(xs) + (Cl * t / V) * _expm1_ratio_deriv(xs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps = V * ka - Cl
-        eps_safe = np.where(eps == 0.0, 1.0, eps)
-        diff = np.exp(-Cl / V * t) - np.exp(-ka * t)
-        dv_large = (
-            -dose * ka**2 / eps_safe**2 * diff
-            + dose * ka / eps_safe * np.exp(-Cl / V * t) * Cl * t / V**2
-        )
-    return np.where(safe, dv_small, dv_large)
+    kat = ka * t
+    return _pk_core(kat, Cl * t, dose * kat, V)
 
 
 def _design_arrays(dataset: Dataset):
-    """(Y, T, doses) stacked when the sampling design is uniform, else None.
+    """(Y, T, doses): (n, J) observations and times, and the n doses.
 
-    When every record is one object, as in the oracle's replicated-record
-    datasets, the arrays are read-only broadcast views of that record.
+    J is the longest record; shorter records are padded with t = 0 and
+    y = 0, where the prediction and its V-derivative are exactly 0, so a
+    padded slot adds exactly 0 to every residual sum.  When every record is
+    one object, as in the oracle's replicated-record datasets, the arrays are
+    read-only broadcast views of that record.
     """
 
     def build():
@@ -106,8 +105,6 @@ def _design_arrays(dataset: Dataset):
         for r in (first,) if replicated else records:
             if r.times is None or r.dose is None:
                 raise DomainViolation("pk records need times and dose")
-            if r.n_obs != first.n_obs:
-                return None
         if replicated:
             shape = (dataset.n, first.n_obs)
             return (
@@ -115,8 +112,11 @@ def _design_arrays(dataset: Dataset):
                 np.broadcast_to(first.times, shape),
                 np.broadcast_to(np.float64(first.dose), shape[:1]),
             )
-        Y = np.stack([r.y for r in records])
-        T = np.stack([r.times for r in records])
+        Y = np.zeros((dataset.n, dataset.n_obs().max()))
+        T = np.zeros_like(Y)
+        for i, r in enumerate(records):
+            Y[i, : r.n_obs] = r.y
+            T[i, : r.n_obs] = r.times
         doses = np.array([r.dose for r in records])
         return Y, T, doses
 
@@ -142,16 +142,9 @@ def _rss_per_individual(dataset, Z, V_fixed=None):
     ka = np.exp(Z[:, 0])
     cl = np.exp(Z[:, 1])
     v = np.full(dataset.n, V_fixed) if V_fixed is not None else np.exp(Z[:, 2])
-    arrays = _design_arrays(dataset)
-    if arrays is not None:
-        Y, T, doses = arrays
-        pred = pk_prediction(doses[:, None], T, ka[:, None], v[:, None], cl[:, None])
-        rss = ((Y - pred) ** 2).sum(axis=1)
-    else:
-        rss = np.empty(dataset.n)
-        for i, r in enumerate(dataset.records):
-            pred = pk_prediction(r.dose, r.times, ka[i], v[i], cl[i])
-            rss[i] = ((r.y - pred) ** 2).sum()
+    Y, T, doses = _design_arrays(dataset)
+    pred = pk_prediction(doses[:, None], T, ka[:, None], v[:, None], cl[:, None])
+    rss = ((Y - pred) ** 2).sum(axis=1)
     rss.setflags(write=False)
     last.update(Z=np.array(Z, dtype=float), V_fixed=V_fixed, rss=rss)
     return rss
@@ -376,38 +369,20 @@ class PkFixedVModel(LatentModel):
         out = prior - 0.5 * J * (_LOG2PI + np.log(sigma2)) - rss / (2.0 * sigma2)
         return np.where(np.isfinite(out), out, -np.inf)
 
-    def _residual_dv(self, dataset, Z, V):
-        """(rss, sum_j r_ij dpred_ij/dV) per individual."""
-        ka = np.exp(Z[:, 0])
-        cl = np.exp(Z[:, 1])
-        arrays = _design_arrays(dataset)
-        if arrays is not None:
-            Y, T, doses = arrays
-            pred = pk_prediction(doses[:, None], T, ka[:, None], V, cl[:, None])
-            dv = pk_prediction_dv(doses[:, None], T, ka[:, None], V, cl[:, None])
-            resid = Y - pred
-            return (resid**2).sum(axis=1), (resid * dv).sum(axis=1)
-        rss = np.empty(dataset.n)
-        rdv = np.empty(dataset.n)
-        for i, r in enumerate(dataset.records):
-            pred = pk_prediction(r.dose, r.times, ka[i], V, cl[i])
-            dv = pk_prediction_dv(r.dose, r.times, ka[i], V, cl[i])
-            resid = r.y - pred
-            rss[i] = (resid**2).sum()
-            rdv[i] = (resid * dv).sum()
-        return rss, rdv
-
     def complete_score(self, dataset, Z, theta):
         pops, V, oms, sigma2 = self._unpack(theta)
         J = dataset.n_obs().astype(float)
         dev = Z - np.log(pops)
-        rss, rdv = self._residual_dv(dataset, Z, V)
+        Y, T, doses = _design_arrays(dataset)
+        kat = np.exp(Z[:, :1]) * T
+        pred, dv = _pk_core(kat, np.exp(Z[:, 1:]) * T, doses[:, None] * kat, V, dv=True)
+        resid = Y - pred
         out = np.zeros((dataset.n, 6))
         for c in range(2):
             out[:, self._POP[c]] = dev[:, c] / (oms[c] * pops[c])
             out[:, self._OM[c]] = -0.5 / oms[c] + dev[:, c] ** 2 / (2.0 * oms[c] ** 2)
-        out[:, 1] = rdv / sigma2
-        out[:, 5] = -J / (2.0 * sigma2) + rss / (2.0 * sigma2**2)
+        out[:, 1] = (resid * dv).sum(axis=1) / sigma2
+        out[:, 5] = -J / (2.0 * sigma2) + (resid**2).sum(axis=1) / (2.0 * sigma2**2)
         return out
 
     def simulate(self, theta, design, rng):
@@ -452,7 +427,9 @@ class PkFixedVModel(LatentModel):
         moments; V is a 1-D profile (``_profile_v``: a Gauss-Newton first
         step, then a safeguarded secant on the derivative of the weighted
         residual sum, with a bounded-Brent fallback) and sigma2 is
-        closed-form given V.  On a uniform design the profile of the last
+        closed-form given V.  The profile (``_FusedProfile``) evaluates the
+        residual sum, its V-derivative and Gauss-Newton curvature over the
+        whole buffer through the prediction core; the profile of the last
         M-step on this dataset hands its per-entry factors to the next one.
         """
         W = float(np.sum(weights))
@@ -464,37 +441,22 @@ class PkFixedVModel(LatentModel):
         m2 = np.einsum("l,lic->c", wn, stack**2) / dataset.n
         oms = np.maximum(m2 - m1**2, 1e-10)
 
-        arrays = _design_arrays(dataset)
-        Jtot = float(dataset.n_obs().sum())
-        V0 = float(theta_init.values[1])
-
-        if arrays is not None:
-            Y, T, doses = arrays
-            last = dataset.memo("pk_fixed_v_profile", dict)
-            evaluate = _FusedProfile(Y, T, doses, latents, wn, previous=last.get("profile"))
-            last["profile"] = evaluate
-        else:
-
-            def evaluate(V):
-                rss = drss = 0.0
-                for w, Z in zip(wn, latents):
-                    r, rdv = self._residual_dv(dataset, Z, V)
-                    rss += w * r.sum()
-                    drss += w * (-2.0) * rdv.sum()
-                return rss, drss, None
-
-        V, rss_at_v = _profile_v(evaluate, V0)
-        sigma2 = max(rss_at_v / Jtot, 1e-10)
+        Y, T, doses = _design_arrays(dataset)
+        last = dataset.memo("pk_fixed_v_profile", dict)
+        profile = _FusedProfile(Y, T, doses, latents, wn, previous=last.get("profile"))
+        last["profile"] = profile
+        V, rss_at_v = _profile_v(profile, float(theta_init.values[1]))
+        sigma2 = max(rss_at_v / float(dataset.n_obs().sum()), 1e-10)
         return self.make_params(
             [np.exp(m1[0]), V, np.exp(m1[1]), oms[0], oms[1], sigma2]
         )
 
 
 # buffer entries per pass of _FusedProfile: a block's (B, n, J) arrays take
-# about 1.1 kB per observation, so they stay in a 2 MiB L2 cache at the desk
+# about 1.3 kB per observation, so they stay in a 2 MiB L2 cache at the desk
 # (n J = 600) and paper (n J = 1000) designs
 _PROFILE_BLOCK = 16
-_FACTORS = ("KA", "CL", "KAT", "CLT", "AT")  # per-entry factors _FusedProfile keeps
+_FACTORS = ("KAT", "CLT", "DKAT")  # per-entry factors _FusedProfile keeps
 
 
 class _FusedProfile:
@@ -502,12 +464,10 @@ class _FusedProfile:
 
         rss(V) = sum_l w_l sum_ij (y_ij - pred(t_ij; ka_il, V, Cl_il))^2
 
-    over stacked buffer entries l, with the branching of pk_prediction and
-    pk_prediction_dv: the direct two-exponential form where |x| > 30 and the
-    series of expm1(x)/x and of its derivative where |x| < 1e-4.
+    over stacked buffer entries l, through the prediction core ``_pk_core``.
 
-    The V-independent factors of an entry (ka, Cl, ka t, Cl t and
-    dose ka t exp(-ka t)) are computed once, when the entry joins the buffer:
+    The V-independent factors of an entry (ka t, Cl t and dose ka t) are
+    computed once, when the entry joins the buffer:
     ``previous``, the profile of the last M-step, hands over the rows of the
     entries still in the buffer (matched by identity) and the rows of pruned
     entries are dropped.  Kept rows come first, so ``W`` is permuted to match.
@@ -524,7 +484,7 @@ class _FusedProfile:
     """
 
     def __init__(self, Y, T, D, latents, W, previous=None):
-        self.Y, self.T, self.D = Y, T, D
+        self.Y = Y
         rows = {}
         if previous is not None:
             rows = {id(z): r for r, z in enumerate(previous.latents)}
@@ -540,82 +500,37 @@ class _FusedProfile:
         if (
             m and previous.stop == previous.store["end"]
             and kept == list(range(len(previous.W) - m, len(previous.W)))
-            and previous.stop + L - m <= len(previous.store["KA"])
+            and previous.stop + L - m <= len(previous.store["KAT"])
         ):
             self.store, start = previous.store, previous.stop - m
         else:
-            n, J = T.shape
             size = L + L // 4 + _PROFILE_BLOCK
-            self.store = {k: np.empty((size, n)) for k in ("KA", "CL")}
-            self.store.update({k: np.empty((size, n, J)) for k in ("KAT", "CLT", "AT")})
+            self.store = {k: np.empty((size,) + T.shape) for k in _FACTORS}
             start = 0
             if m:
                 for k in _FACTORS:
                     np.take(getattr(previous, k), kept, axis=0, out=self.store[k][:m], mode="clip")
         self.stop = self.store["end"] = start + L
-        self.KA, self.CL, self.KAT, self.CLT, self.AT = (self.store[k][start:self.stop] for k in _FACTORS)
+        self.KAT, self.CLT, self.DKAT = (self.store[k][start:self.stop] for k in _FACTORS)
         if L > m:
             Z = np.stack([latents[l] for l in order[m:]])
-            ka = np.exp(Z[:, :, 0])[:, :, None]
-            cl = np.exp(Z[:, :, 1])[:, :, None]
-            self.KA[m:], self.CL[m:] = ka[:, :, 0], cl[:, :, 0]
-            kat = ka * T
-            self.KAT[m:] = kat
-            self.CLT[m:] = cl * T
-            self.AT[m:] = D[:, None] * ka * np.exp(-kat) * T
+            np.multiply(np.exp(Z[:, :, :1]), T, out=self.KAT[m:])
+            np.multiply(np.exp(Z[:, :, 1:]), T, out=self.CLT[m:])
+            np.multiply(D[:, None], self.KAT[m:], out=self.DKAT[m:])
 
     def __call__(self, V):
-        n, J = self.T.shape
-        inv_v = 1.0 / V
         rss = rdv = dvdv = 0.0
         for s in range(0, len(self.W), _PROFILE_BLOCK):
             b = slice(s, s + _PROFILE_BLOCK)
-            u = self.CLT[b] * inv_v
-            x = self.KAT[b] - u
-            ax = np.abs(x)
-            big = np.flatnonzero(ax > 30.0)  # flat indices: cheaper than masks
-            tiny = np.flatnonzero(ax < 1e-4) if ax.min() < 1e-4 else None
-            if tiny is not None:
-                # the series replaces G and G' there; a nonzero x keeps the
-                # two divides below from computing 0/0 at x = 0
-                xt = x.ravel()[tiny]
-                np.put(x, tiny, 1.0)
-            np.put(x, big, 1.0)
-            G = np.expm1(x)
-            Gp = x * G  # (x expm1(x) - expm1(x) + x) / x^2
-            Gp -= G
-            Gp += x
-            Gp /= np.multiply(x, x, out=ax)
-            G /= x  # expm1(x) / x
-            if tiny is not None:
-                np.put(G, tiny, 1.0 + xt / 2.0 + xt**2 / 6.0 + xt**3 / 24.0)
-                np.put(Gp, tiny, 0.5 + xt / 3.0 + xt**2 / 8.0 + xt**3 / 30.0)
-            P = self.AT[b] * inv_v
-            dv = Gp  # V dpred/dV = (A t / V) (u G' - G)
-            dv *= u
-            dv -= G
-            dv *= P
-            pred = G
-            pred *= P
-            if big.size:
-                li = big // J  # flat (entry, individual) index
-                ka, cl = self.KA[b].ravel()[li], self.CL[b].ravel()[li]
-                dka = self.D[li % n] * ka
-                eps = V * ka - cl
-                ub = u.ravel()[big]
-                ecl = np.exp(-ub)
-                diff = ecl - np.exp(-self.KAT[b].ravel()[big])
-                base = dka / eps
-                np.put(pred, big, base * diff)
-                np.put(dv, big, V * (-(dka * ka / eps**2) * diff + base * ecl * ub * inv_v))
+            pred, dv = _pk_core(self.KAT[b], self.CLT[b], self.DKAT[b], V, dv=True)
             resid = np.subtract(self.Y, pred, out=pred)
             w = self.W[b, None, None]
-            wx = np.multiply(resid, w, out=x)
+            wx = resid * w
             rss += np.vdot(wx, resid)
             rdv += np.vdot(wx, dv)
             np.multiply(dv, w, out=wx)
             dvdv += np.vdot(wx, dv)
-        return float(rss), float(-2.0 * rdv * inv_v), float(2.0 * dvdv * inv_v * inv_v)
+        return float(rss), float(-2.0 * rdv), float(2.0 * dvdv)
 
 
 def _profile_v(evaluate, V0, max_iter=40):

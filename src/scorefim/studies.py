@@ -498,7 +498,7 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
         tpath = out / "terminal_thetas.csv"
         write_table(
             tpath, ["run"] + list(names),
-            [[m] + list(r["theta"]) for m, r in enumerate(ok)],
+            [[m] + list(r["theta"]) for m, r in enumerate(results) if "error" not in r],
         )
         timer.add_output(tpath)
         files.append(str(tpath))

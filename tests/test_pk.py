@@ -7,7 +7,8 @@ import pytest
 from scorefim import Design, finite_diff_score, simulate_dataset
 from scorefim.errors import DomainViolation, MStepFailure
 from scorefim.modelbase import validate_params
-from scorefim.models import pk_prediction, pk_prediction_dv
+from scorefim.models import pk_prediction
+from scorefim.models.pk import _pk_core
 from scorefim.rng import substream
 from scorefim.saem import individual_delta
 
@@ -19,6 +20,14 @@ def _pred_mp(d, t, ka, V, Cl):
     if V * ka == Cl:
         return d * ka * t * mp.e ** (-ka * t) / V
     return d * ka / (V * ka - Cl) * (mp.e ** (-(Cl / V) * t) - mp.e ** (-ka * t))
+
+
+def _pred_dv(dose, t, ka, V, Cl):
+    """(pred, dpred/dV) from the prediction core, fed the factors that
+    pk_prediction builds."""
+    t = np.asarray(t, dtype=float)
+    kat = ka * t
+    return _pk_core(kat, Cl * t, dose * kat, V, dv=True)
 
 
 def test_prediction_reference_value():
@@ -66,11 +75,45 @@ def test_prediction_dv_matches_high_precision():
     ]
     h = mp.mpf("1e-20")
     for t, ka, V, Cl in cases:
-        got = pk_prediction_dv(320.0, t, ka, V, Cl)
+        got = _pred_dv(320.0, t, ka, V, Cl)[1]
         want = float(
             (_pred_mp(320, t, ka, V + h, Cl) - _pred_mp(320, t, ka, V - h, Cl)) / (2 * h)
         )
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_prediction_and_dv_sweep_matches_high_precision():
+    # fixed-seed sweep over 2-4 decades of each argument plus the regimes a
+    # two-exponential form overflows or cancels in: |ka t - Cl t / V| > 709,
+    # exp(-ka t) below the double range, V ka = Cl exactly, and t = 0, which
+    # must give exact zeros
+    rng = np.random.default_rng(20191)
+    cases = [
+        (100.0, 8.0, 31.0, 1.8),  # ka t = 800: exp(-ka t) underflows, x = 794
+        (24.0, 40.0, 31.0, 1.8),  # x = 959
+        (24.0, 0.01, 31.0, 1550.0),  # Cl t / V = 1200 > ka t
+        (2.0, 2.0, 32.0, 64.0),  # V ka = Cl exactly
+        (300.0, 0.125, 8.0, 1.0),  # V ka = Cl exactly, far out
+        (0.0, 1.6, 31.0, 1.8),
+    ]
+    for _ in range(200):
+        cases.append(tuple(10.0 ** rng.uniform(lo, hi) for lo, hi in ((-2, 2), (-2, 2), (0, 3), (-1, 2))))
+
+    def dv_mp(t, ka, V, Cl):
+        with mp.workdps(120):
+            h = mp.mpf("1e-40")
+            return (_pred_mp(320, t, ka, V + h, Cl) - _pred_mp(320, t, ka, V - h, Cl)) / (2 * h)
+
+    with np.errstate(all="raise"):
+        for t, ka, V, Cl in cases:
+            pred, dv = _pred_dv(320.0, t, ka, V, Cl)
+            assert pred == pk_prediction(320.0, t, ka, V, Cl)
+            if t == 0.0:
+                assert pred == 0.0 and dv == 0.0
+                continue
+            want = float(_pred_mp(320, t, ka, V, Cl))
+            assert pred == pytest.approx(want, rel=1e-12), (t, ka, V, Cl)
+            assert dv == pytest.approx(float(dv_mp(t, ka, V, Cl)), rel=1e-10), (t, ka, V, Cl)
 
 
 def test_validate_positive(pk, pk_fixed_v):
@@ -245,8 +288,8 @@ def test_initial_theta_feasible(pk, pk_data, pk_fixed_v, pk_fixed_v_data):
 def _buffer_stack(ds, n_entries, seed):
     """Latent entries around the fixed-V prior plus three rigged individuals:
     two with V ka = Cl at V = 31, exactly and to 2e-6 (the |x| < 1e-4
-    series at x = 0 and x up to 8e-5), and one with a fast absorption (the
-    |x| > 30 direct branch)."""
+    series at x = 0 and x up to 8e-5), and one with a fast absorption
+    (|x| > 30), x = ka t - Cl t / V."""
     rng = substream(seed, 0)
     latents = []
     for _ in range(n_entries):
@@ -259,23 +302,21 @@ def _buffer_stack(ds, n_entries, seed):
     return latents, w / w.sum()
 
 
-def _profile_by_records(model, ds, latents, w, V):
-    """(rss, d rss/dV, 2 sum w dpred/dV^2) summed entry by entry through
-    _residual_dv, the route non-uniform designs take, and pk_prediction_dv."""
-    from scorefim.models.pk import _design_arrays
-
-    _, T, doses = _design_arrays(ds)
+def _profile_by_records(ds, latents, w, V):
+    """(rss, d rss/dV, 2 sum w dpred/dV^2) summed entry by entry and record
+    by record through pk_prediction and the core's dpred/dV."""
     rss = drss = curv = 0.0
     for wl, Z in zip(w, latents):
-        r, rdv = model._residual_dv(ds, Z, V)
-        dv = pk_prediction_dv(doses[:, None], T, np.exp(Z[:, :1]), V, np.exp(Z[:, 1:]))
-        rss += wl * r.sum()
-        drss += -2.0 * wl * rdv.sum()
-        curv += 2.0 * wl * (dv**2).sum()
+        for r, (ka, cl) in zip(ds.records, np.exp(Z)):
+            resid = r.y - pk_prediction(r.dose, r.times, ka, V, cl)
+            dv = _pred_dv(r.dose, r.times, ka, V, cl)[1]
+            rss += wl * (resid**2).sum()
+            drss += -2.0 * wl * (resid * dv).sum()
+            curv += 2.0 * wl * (dv**2).sum()
     return rss, drss, curv
 
 
-def test_fused_profile_matches_the_per_record_route(pk_fixed_v, pk_fixed_v_data):
+def test_fused_profile_matches_the_per_record_route(pk_fixed_v_data):
     from scorefim.models.pk import _PROFILE_BLOCK, _FusedProfile, _design_arrays
 
     ds = pk_fixed_v_data
@@ -287,7 +328,7 @@ def test_fused_profile_matches_the_per_record_route(pk_fixed_v, pk_fixed_v_data)
     prof = _FusedProfile(Y, T, doses, latents, w)
     for V in (12.0, 31.0, 77.0):
         np.testing.assert_allclose(
-            prof(V), _profile_by_records(pk_fixed_v, ds, latents, w, V), rtol=1e-12
+            prof(V), _profile_by_records(ds, latents, w, V), rtol=1e-12
         )
 
 
@@ -375,3 +416,40 @@ def test_replicated_record_matches_the_single_record_rows(pk, pk_data, pk_theta)
         got = getattr(pk, method)(rep, Z, pk_theta)
         want = np.concatenate([getattr(pk, method)(one, Z[b:b + 1], pk_theta) for b in range(n)])
         np.testing.assert_array_equal(got, want, err_msg=method)
+
+
+def test_ragged_design_matches_records_evaluated_alone(pk, pk_theta, pk_data, pk_fixed_v, pk_fixed_v_theta):
+    # records of 8 to 10 observations are padded to 10 with t = 0, y = 0;
+    # every padded slot must add exactly nothing to any per-record sum
+    from scorefim import Dataset, IndividualRecord
+    from scorefim.models.pk import _FusedProfile, _design_arrays
+
+    ds = Dataset(tuple(
+        IndividualRecord(y=r.y[: 10 - i % 3], times=r.times[: 10 - i % 3], dose=r.dose * (1 + i / 10))
+        for i, r in enumerate(pk_data.records[:12])
+    ))
+    Y, T, doses = _design_arrays(ds)
+    assert Y.shape == T.shape == (12, 10) and (T[2, 8:] == 0).all() and (Y[2, 8:] == 0).all()
+    alone = [Dataset((r,)) for r in ds.records]
+    rng = substream(52, 1)
+
+    def check(method, model, Z, *args):
+        got = getattr(model, method)(ds, Z, *args)
+        want = np.concatenate([getattr(model, method)(one, Z[i:i + 1], *args) for i, one in enumerate(alone)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=method)
+
+    Z = pk.initial_latents(ds, pk_theta, rng)
+    check("complete_loglik", pk, Z, pk_theta)
+    check("statistics", pk, Z)
+    Zv = pk_fixed_v.initial_latents(ds, pk_fixed_v_theta, rng)
+    check("complete_loglik", pk_fixed_v, Zv, pk_fixed_v_theta)
+    check("complete_score", pk_fixed_v, Zv, pk_fixed_v_theta)
+
+    latents, w = _buffer_stack(ds, 20, 53)
+    prof = _FusedProfile(Y, T, doses, latents, w)
+    for V in (12.0, 31.0, 77.0):
+        parts = [
+            _FusedProfile(*_design_arrays(one), [Z[i:i + 1] for Z in latents], w)(V)
+            for i, one in enumerate(alone)
+        ]
+        np.testing.assert_allclose(prof(V), np.sum(parts, axis=0), rtol=1e-12)

@@ -191,8 +191,8 @@ def test_mstep_gradient_postcondition(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_th
 
 
 def test_mstep_on_non_uniform_design(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta):
-    # records of different lengths take the per-record profile route, which
-    # has no curvature and starts from the probe step
+    # records of different lengths are padded to the longest one, so the
+    # M-step runs the same profile as on a uniform design
     from scorefim.data import Dataset, IndividualRecord
     from scorefim.models.pk import _design_arrays
 
@@ -200,7 +200,8 @@ def test_mstep_on_non_uniform_design(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_the
         IndividualRecord(y=r.y[: 10 - i % 3], times=r.times[: 10 - i % 3], dose=r.dose)
         for i, r in enumerate(pk_fixed_v_data.records)
     ))
-    assert _design_arrays(ds) is None
+    Y, T, doses = _design_arrays(ds)
+    assert Y.shape == T.shape == (ds.n, 10) and doses.shape == (ds.n,)
     rng = substream(86, 0)
     buf = WeightedSampleBuffer(prune_epsilon=0.0)
     for g in (1.0, 0.5, 0.3):

@@ -1,6 +1,7 @@
 """Study harness: strict config parsing, determinism, and the bias/density/
 coverage/comparison runners at reduced scale."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -278,3 +279,6 @@ def test_failure_reasons_in_manifest(tmp_path, monkeypatch, raw, patched, subdir
     manifest = json.loads((tmp_path / subdir / "manifest.json").read_text())
     assert manifest["failures"] == 1
     assert manifest["failure_reasons"] == [[1, "injected failure"]]
+    if subdir == "saem_replication":  # rows keep their replicate index
+        with open(tmp_path / subdir / "terminal_thetas.csv") as fh:
+            assert [int(row["run"]) for row in csv.DictReader(fh)] == [0, 2]
