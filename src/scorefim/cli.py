@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +17,13 @@ from .data import read_dataset_csv, write_dataset_csv
 from .errors import ConfigError, NumericalError, ScorefimError
 from .fim import conditional_score_fim, observed_fim, score_outer_fim, wald_confidence_intervals, write_fim_csv
 from .modelbase import simulate_dataset
-from .models import build_model, gaussian_mixture_em
+from .models import build_model
 from .presets import PRESETS, preset_config
 from .reporting import ManifestTimer, fmt, write_table, write_trajectory_csv
-from .saem import run_saem
-from .saem_general import buffer_capacity, run_general_saem
-from .studies import fit_route, parse_design_config, parse_saem_config, parse_study_config, run_study
+from .studies import (
+    fit_model, fit_route, parse_design_config, parse_fit_keys, parse_saem_config,
+    parse_study_config, run_study,
+)
 
 
 def _load_json(path) -> dict:
@@ -78,33 +78,12 @@ def _cmd_fit(args) -> int:
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     alpha = float(raw.get("alpha", 0.05))
     method = raw.get("method", fit_route(raw["model"]))
-    if method not in ("em", "saem", "saem_general"):
-        raise ConfigError(f"unknown fit method {method!r}")
+    saem = parse_saem_config(raw.get("saem", {}))
 
     timer = ManifestTimer({"fit": raw, "data": str(args.data)}, seed)
-    if method == "em":
-        res = gaussian_mixture_em(
-            ds, theta0 if theta0 is not None else model.initial_theta(ds),
-            tol=float(raw.get("em_tol", 1e-8)), max_iter=int(raw.get("em_max_iter", 2000)),
-        )
-        if not res.converged:
-            raise NumericalError("EM hit its iteration limit")
-        theta_hat = model.canonicalize(res.theta)
-        fim = conditional_score_fim(model, ds, theta_hat)
-        trajectories = None
-        diagnostics = {"iterations": res.n_iter, "converged": res.converged}
-    else:
-        cfg = replace(parse_saem_config(raw.get("saem", {})), seed=seed)
-        if method == "saem":
-            res = run_saem(model, ds, cfg, theta0=theta0)
-        else:
-            prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
-            capacity = buffer_capacity(cfg, prune_epsilon, raw.get("capacity"))
-            res = run_general_saem(
-                model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
-            )
-        theta_hat, fim, trajectories = res.theta, res.fim, res.trajectories
-        diagnostics = res.diagnostics
+    theta_hat, fim, trajectories, diagnostics = fit_model(
+        model, ds, method, saem, seed, theta0, **parse_fit_keys(raw, method, saem),
+    )
 
     out = Path(args.out or "fit_out")
     out.mkdir(parents=True, exist_ok=True)

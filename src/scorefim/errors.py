@@ -69,7 +69,3 @@ class OptimFailure(NumericalError):
 
 class CapacityExceeded(NumericalError):
     """Weighted sample buffer grew past its capacity after pruning."""
-
-
-class MaxIterReached(NumericalError):
-    """Iteration limit hit before the convergence tolerance."""

@@ -115,13 +115,6 @@ class LatentModel(abc.ABC):
     def has_marginal_score(self) -> bool:
         return type(self).marginal_score is not LatentModel.marginal_score
 
-    @property
-    def has_conditional_expected_score(self) -> bool:
-        return (
-            type(self).conditional_expected_score
-            is not LatentModel.conditional_expected_score
-        )
-
 
 class ExpoFamilyModel(LatentModel):
     """Complete likelihood exp(-psi_i(theta) + <S_i(z_i), phi_i(theta)>) (+ theta-free term).
@@ -135,14 +128,6 @@ class ExpoFamilyModel(LatentModel):
     @abc.abstractmethod
     def statistics(self, dataset: Dataset, Z: np.ndarray) -> np.ndarray:
         """S_i(z_i), shape (n, m)."""
-
-    @abc.abstractmethod
-    def psi(self, dataset: Dataset, theta: ParamVector) -> np.ndarray:
-        """psi_i(theta), shape (n,)."""
-
-    @abc.abstractmethod
-    def phi(self, dataset: Dataset, theta: ParamVector) -> np.ndarray:
-        """phi_i(theta), shape (n, m)."""
 
     @abc.abstractmethod
     def dpsi(self, dataset: Dataset, theta: ParamVector) -> np.ndarray:

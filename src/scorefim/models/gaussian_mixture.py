@@ -106,17 +106,6 @@ class GaussianMixtureModel(ExpoFamilyModel):
     def statistics(self, dataset, Z):
         return (Z[:, :1] > 0.5).astype(float)
 
-    def psi(self, dataset, theta):
-        pi, mu1, mu2 = theta.values
-        y = self._y(dataset)
-        return -np.log1p(-pi) + 0.5 * (y - mu1) ** 2 + 0.5 * _LOG2PI
-
-    def phi(self, dataset, theta):
-        pi, mu1, mu2 = theta.values
-        y = self._y(dataset)
-        val = np.log(pi) - np.log1p(-pi) + 0.5 * ((y - mu1) ** 2 - (y - mu2) ** 2)
-        return val[:, None]
-
     def dpsi(self, dataset, theta):
         pi, mu1, mu2 = theta.values
         y = self._y(dataset)

@@ -134,22 +134,6 @@ class LinearMixedModel(ExpoFamilyModel):
         z = Z[:, 0]
         return np.column_stack([z, z**2])
 
-    def psi(self, dataset, theta):
-        beta, eta2, sigma2 = theta.values
-        J, sumy, sumy2 = _summaries(dataset)
-        rss0 = sumy2 - 2.0 * beta * sumy + J * beta**2
-        return (
-            0.5 * (_LOG2PI + np.log(eta2))
-            + 0.5 * J * (_LOG2PI + np.log(sigma2))
-            + rss0 / (2.0 * sigma2)
-        )
-
-    def phi(self, dataset, theta):
-        beta, eta2, sigma2 = theta.values
-        J, sumy, _ = _summaries(dataset)
-        w0 = sumy - J * beta
-        return np.column_stack([w0 / sigma2, -0.5 * (1.0 / eta2 + J / sigma2)])
-
     def dpsi(self, dataset, theta):
         beta, eta2, sigma2 = theta.values
         J, sumy, sumy2 = _summaries(dataset)

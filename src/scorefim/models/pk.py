@@ -290,17 +290,6 @@ class PkNlmeModel(ExpoFamilyModel):
         rss = _rss_per_individual(dataset, Z)
         return np.column_stack([Z, Z**2, rss])
 
-    def psi(self, dataset, theta):
-        pops, oms, sigma2 = self._unpack(theta)
-        J = dataset.n_obs().astype(float)
-        const = (0.5 * (_LOG2PI + np.log(oms)) + np.log(pops) ** 2 / (2.0 * oms)).sum()
-        return const + 0.5 * J * (_LOG2PI + np.log(sigma2))
-
-    def phi(self, dataset, theta):
-        pops, oms, sigma2 = self._unpack(theta)
-        row = np.concatenate([np.log(pops) / oms, -0.5 / oms, [-0.5 / sigma2]])
-        return np.tile(row, (dataset.n, 1))
-
     def dpsi(self, dataset, theta):
         pops, oms, sigma2 = self._unpack(theta)
         J = dataset.n_obs().astype(float)

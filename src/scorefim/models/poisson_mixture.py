@@ -137,14 +137,6 @@ class PoissonMixtureModel(ExpoFamilyModel):
         out[np.arange(dataset.n), z] = 1.0
         return out
 
-    def psi(self, dataset, theta):
-        return np.zeros(dataset.n)
-
-    def phi(self, dataset, theta):
-        lam, alpha = self.split(theta)
-        y = self._y(dataset)
-        return np.log(alpha) + y[:, None] * np.log(lam) - lam
-
     def dpsi(self, dataset, theta):
         return np.zeros((dataset.n, self.p))
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,15 +11,10 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Immutable parameter vector with component names and scale metadata.
-
-    ``scales`` feed finite-difference steps and optimizer scaling; they default
-    to ``max(1, |value|)`` per component.
-    """
+    """Immutable parameter vector with component names."""
 
     values: np.ndarray
     names: tuple[str, ...]
-    scales: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -32,14 +27,6 @@ class ParamVector:
             raise DimensionMismatch(
                 f"{values.size} values but {len(self.names)} names"
             )
-        scales = self.scales
-        if scales is None:
-            scales = np.maximum(1.0, np.abs(values))
-        scales = np.array(scales, dtype=float)
-        if scales.shape != values.shape:
-            raise DimensionMismatch("scales must match values")
-        scales.setflags(write=False)
-        object.__setattr__(self, "scales", scales)
 
     @property
     def p(self) -> int:
@@ -50,9 +37,6 @@ class ParamVector:
 
     def replace_values(self, values) -> "ParamVector":
         return ParamVector(np.asarray(values, dtype=float), self.names)
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
 
     def __repr__(self):
         inner = ", ".join(f"{n}={v:.6g}" for n, v in zip(self.names, self.values))

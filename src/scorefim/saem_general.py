@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import Dataset
 from .errors import (
@@ -44,7 +43,6 @@ class WeightedSampleBuffer:
     prune_epsilon: float = 1e-6
     capacity: int = 500
     discarded_mass: float = 0.0  # missing mass of the exact unrolling (decays)
-    dropped_cumulative: float = 0.0  # raw sum of weights at drop time
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -94,7 +92,6 @@ def buffer_update(buffer: WeightedSampleBuffer, z_k: np.ndarray, gamma_k: float)
         prune_epsilon=buffer.prune_epsilon,
         capacity=buffer.capacity,
         discarded_mass=buffer.discarded_mass * (1.0 - gamma_k) + dropped,
-        dropped_cumulative=buffer.dropped_cumulative + dropped,
     )
 
 
@@ -156,9 +153,8 @@ def maximize_q(
     """argmax_theta Q(theta), warm-started at theta_init.
 
     Exponential-family models collapse to theta-hat of the weighted
-    statistics; models exposing ``maximize_weighted`` use their own nested
-    closed-form / 1-D machinery; anything else goes through L-BFGS-B with the
-    analytic gradient on positive-orthant bounds.
+    statistics; any other model supplies ``maximize_weighted``, its own
+    nested closed-form / 1-D machinery.
     """
     if len(buffer) == 0 or buffer.total_weight <= 0:
         raise MStepFailure("empty or massless sample buffer")
@@ -169,10 +165,8 @@ def maximize_q(
             w * model.statistics(dataset, Z) for w, Z in zip(wn, buffer.latents)
         )
         theta = model.argmax_complete(dataset, stats)
-    elif hasattr(model, "maximize_weighted"):
-        theta = model.maximize_weighted(dataset, buffer.latents, buffer.weights, theta_init)
     else:
-        theta = _maximize_q_numeric(buffer, model, dataset, theta_init, grad_tol)
+        theta = model.maximize_weighted(dataset, buffer.latents, buffer.weights, theta_init)
     model.validate_params(theta)
 
     if check_gradient:
@@ -183,35 +177,6 @@ def maximize_q(
             raise OptimFailure(
                 f"M-step gradient norm {norm:.3e} above tolerance", grad_norm=norm
             )
-    return theta
-
-
-def _maximize_q_numeric(buffer, model, dataset, theta_init, grad_tol):
-    """Bounded quasi-Newton fallback on the raw parameter vector."""
-
-    def negq(x):
-        try:
-            th = theta_init.replace_values(x)
-            model.validate_params(th)
-        except DomainViolation:
-            return np.inf, np.zeros_like(x)
-        q = buffer_objective(buffer, model, dataset, th)
-        g = buffer_gradient(buffer, model, dataset, th)
-        return -q, -g
-
-    bounds = [(1e-10, None)] * theta_init.p
-    res = minimize(
-        negq, theta_init.values, jac=True, method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    theta = theta_init.replace_values(res.x)
-    g = buffer_gradient(buffer, model, dataset, theta)
-    q = buffer_objective(buffer, model, dataset, theta)
-    if float(np.linalg.norm(g)) >= grad_tol * (1.0 + abs(q)):
-        raise OptimFailure(
-            f"line search collapsed; gradient norm {np.linalg.norm(g):.3e}",
-            grad_norm=float(np.linalg.norm(g)),
-        )
     return theta
 
 

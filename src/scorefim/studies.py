@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .condoracle import conditional_moments, reference_fims
-from .data import Design
+from .data import Dataset, Design
 from .errors import ConfigError, NumericalError, ScorefimError
 from .fim import (
     FimMatrix,
@@ -54,6 +54,35 @@ def fit_route(model: str) -> str:
     return _FIT_ROUTES.get(model, "saem")
 
 
+def fit_model(
+    model: LatentModel, ds: Dataset, route: str, saem: SaemConfig | None, seed: int,
+    theta0: ParamVector | None = None, *,
+    em_tol: float, em_max_iter: int, prune_epsilon: float, capacity: int,
+) -> tuple:
+    """Fit ``model`` to ``ds`` by ``route``, the one fit path of ``scorefim
+    fit`` and the studies: (theta_hat, FIM, trajectories or None,
+    diagnostics).  The stochastic routes run the ``saem`` block at ``seed``;
+    theta0 defaults to the model's initial_theta."""
+    theta0 = model.initial_theta(ds) if theta0 is None else theta0
+    if route == "em":
+        res = gaussian_mixture_em(ds, theta0, tol=em_tol, max_iter=em_max_iter)
+        if not res.converged:
+            raise NumericalError("EM hit its iteration limit")
+        theta_hat = model.canonicalize(res.theta)
+        fim = conditional_score_fim(model, ds, theta_hat)
+        return theta_hat, fim, None, {"iterations": res.n_iter, "converged": res.converged}
+    if route not in ("saem", "saem_general"):
+        raise ConfigError(f"unknown fit method {route!r}")
+    cfg = replace(saem, seed=seed)
+    if route == "saem":
+        res = run_saem(model, ds, cfg, theta0=theta0)
+    else:
+        res = run_general_saem(
+            model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
+        )
+    return res.theta, res.fim, res.trajectories, res.diagnostics
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     kind: str
@@ -62,17 +91,17 @@ class StudyConfig:
     design: Design
     M: int
     seed: int
-    n_values: tuple[int, ...] = ()
-    alpha: float = 0.05
-    n_mc: int = 1_000_000
-    estimators: tuple[str, ...] = ("score", "observed")
-    components: tuple[tuple[str, str], ...] = ()
-    saem: SaemConfig | None = None
-    reference_theta: str | tuple[float, ...] = "terminal_mean"
-    prune_epsilon: float = 1e-6
-    capacity: int = 500
-    em_tol: float = 1e-8
-    em_max_iter: int = 2000
+    n_values: tuple[int, ...]
+    alpha: float
+    n_mc: int
+    estimators: tuple[str, ...]
+    components: tuple[tuple[str, str], ...]
+    saem: SaemConfig | None
+    reference_theta: str | tuple[float, ...]
+    prune_epsilon: float
+    capacity: int
+    em_tol: float
+    em_max_iter: int
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -159,6 +188,23 @@ def parse_saem_config(raw: dict) -> SaemConfig:
     )
 
 
+def parse_fit_keys(raw: dict, route: str, saem: SaemConfig | None) -> dict:
+    """The fit keys of a ``fit`` or study config with their defaults:
+    em_tol, em_max_iter, prune_epsilon and capacity.  On the general route
+    the capacity defaults to, and must not fall below, the length the
+    buffer reaches under the ``saem`` block's schedule."""
+    prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
+    capacity = int(raw.get("capacity", 500))
+    if route == "saem_general" and saem is not None:
+        capacity = buffer_capacity(saem, prune_epsilon, raw.get("capacity"))
+    return {
+        "em_tol": float(raw.get("em_tol", 1e-8)),
+        "em_max_iter": int(raw.get("em_max_iter", 2000)),
+        "prune_epsilon": prune_epsilon,
+        "capacity": capacity,
+    }
+
+
 def parse_study_config(raw: dict) -> StudyConfig:
     """Strict parser: unknown keys anywhere are rejected."""
     if not isinstance(raw, dict):
@@ -185,10 +231,12 @@ def parse_study_config(raw: dict) -> StudyConfig:
     components = tuple(
         (str(a), str(b)) for a, b in raw.get("components", [])
     )
-    prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
-    capacity = int(raw.get("capacity", 500))
-    if saem is not None and fit_route(raw["model"]) == "saem_general":
-        capacity = buffer_capacity(saem, prune_epsilon, raw.get("capacity"))
+    route = fit_route(raw["model"])
+    needs_saem = raw["kind"] == "saem_replication" or (
+        raw["kind"] in ("coverage", "meng_comparison") and route != "em"
+    )
+    if needs_saem and saem is None:
+        raise ConfigError(f"{raw['kind']} for {raw['model']} needs a saem config block")
     return StudyConfig(
         kind=str(raw["kind"]),
         model=str(raw["model"]),
@@ -203,10 +251,7 @@ def parse_study_config(raw: dict) -> StudyConfig:
         components=components,
         saem=saem,
         reference_theta=ref,
-        prune_epsilon=prune_epsilon,
-        capacity=capacity,
-        em_tol=float(raw.get("em_tol", 1e-8)),
-        em_max_iter=int(raw.get("em_max_iter", 2000)),
+        **parse_fit_keys(raw, route, saem),
     )
 
 
@@ -226,6 +271,13 @@ def _config_echo(config: StudyConfig) -> dict:
         "values": config.theta_star.values.tolist(),
     }
     return echo
+
+
+def _write_manifest(timer: ManifestTimer, out: Path) -> tuple[str, ...]:
+    """Write the study's manifest.json; the files it wrote, in the order
+    written, manifest last."""
+    manifest = timer.write(out)
+    return (*timer.outputs, str(manifest))
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +351,7 @@ def run_bias_study(config: StudyConfig, out_dir=None, threads: int = 1) -> Study
             if not np.all(rmsd + 1e-300 >= np.abs(bias)):
                 raise NumericalError("RMSD fell below |bias|")  # Jensen violated: bug
 
-    files = []
+    files = ()
     if out_dir is not None:
         out = Path(out_dir) / config.kind
         path = out / "bias_rmsd.csv"
@@ -309,12 +361,10 @@ def run_bias_study(config: StudyConfig, out_dir=None, threads: int = 1) -> Study
             rows,
         )
         timer.add_output(path)
-        files.append(str(path))
         timer.extra["param_names"] = list(names)
-        timer.write(out)
-        files.append(str(out / "manifest.json"))
+        files = _write_manifest(timer, out)
     return StudyReport(
-        kind=config.kind, tables=tables, files=tuple(files),
+        kind=config.kind, tables=tables, files=files,
         m_effective=config.M, failures=0,
         extras={"reference": reference, "samples": samples},
     )
@@ -353,25 +403,22 @@ def run_density_study(config: StudyConfig, out_dir=None, threads: int = 1) -> St
                     [n, label, g, d] for g, d in zip(grid, dens)
                 ]
 
-    files = []
+    files = ()
     if out_dir is not None:
         out = Path(out_dir) / "density"
         for est in config.estimators:
             path = out / f"density_{est}.csv"
             write_table(path, ["n", "component", "x", "density"], dens_rows[est])
             timer.add_output(path)
-            files.append(str(path))
         path = out / "moments.csv"
         write_table(
             path, ["estimator", "n", "component", "skewness", "excess_kurtosis", "M"],
             moment_rows,
         )
         timer.add_output(path)
-        files.append(str(path))
-        timer.write(out)
-        files.append(str(out / "manifest.json"))
+        files = _write_manifest(timer, out)
     return StudyReport(
-        kind="density", tables={"moments": moments}, files=tuple(files),
+        kind="density", tables={"moments": moments}, files=files,
         m_effective=config.M, failures=0, extras={"base": base},
     )
 
@@ -423,8 +470,6 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
     conditional-expectation Monte-Carlo reference."""
     if config.kind != "saem_replication":
         raise ConfigError(f"expected a saem_replication config, got {config.kind!r}")
-    if config.saem is None:
-        raise ConfigError("saem_replication needs a saem config block")
     model = _model_for(config)
     timer = ManifestTimer(_config_echo(config), config.seed)
 
@@ -488,20 +533,18 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
         + [f"relse_obs_{n}" for n in names]
     )
 
-    files = []
+    files = ()
     if out_dir is not None:
         out = Path(out_dir) / "saem_replication"
         path = out / "replication.csv"
         write_table(path, header, rows)
         timer.add_output(path)
-        files.append(str(path))
         tpath = out / "terminal_thetas.csv"
         write_table(
             tpath, ["run"] + list(names),
             [[m] + list(r["theta"]) for m, r in enumerate(results) if "error" not in r],
         )
         timer.add_output(tpath)
-        files.append(str(tpath))
         timer.extra["failures"] = failures
         timer.extra["failure_reasons"] = failure_reasons
         timer.extra["reference_theta"] = theta_ref.values.tolist()
@@ -512,8 +555,7 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
         timer.extra["oracle_newton_iterations"] = moments.newton_iterations
         timer.extra["oracle_mirror_refits"] = moments.mirror_refits
         timer.extra["oracle_unconverged"] = list(moments.unconverged)
-        timer.write(out)
-        files.append(str(out / "manifest.json"))
+        files = _write_manifest(timer, out)
 
     return StudyReport(
         kind="saem_replication",
@@ -522,7 +564,7 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
             "relbias_obs": relbias_lou, "relse_obs": relse_lou,
             "iteration": iters,
         },
-        files=tuple(files), m_effective=len(ok), failures=failures,
+        files=files, m_effective=len(ok), failures=failures,
         extras={
             "reference_sco": ref_sco, "reference_obs": ref_obs,
             "theta_ref": theta_ref, "sco_runs": sco, "louis_runs": lou,
@@ -532,15 +574,19 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
 
 
 # --------------------------------------------------------------------------
-# coverage studies
+# coverage studies: M replicates of simulate / fit / FIM / Wald interval
 
-def _coverage_worker(payload):
-    config, m = payload
+def _wald_replicate(config: StudyConfig, m: int) -> dict:
+    """Replicate m: which Wald intervals cover theta*, theta_hat and the FIM."""
     model = _model_for(config)
     rng = substream(config.seed, _GROUP_DATA, m)
     ds = model.simulate(config.theta_star, config.design, rng)
     try:
-        theta_hat, fim = _fit_and_fim(model, ds, config, m)
+        theta_hat, fim, _, _ = fit_model(
+            model, ds, fit_route(config.model), config.saem, _fit_seed(config, m),
+            em_tol=config.em_tol, em_max_iter=config.em_max_iter,
+            prune_epsilon=config.prune_epsilon, capacity=config.capacity,
+        )
         cis = wald_confidence_intervals(theta_hat, fim, config.alpha)
     except ScorefimError as exc:
         return {"error": str(exc)}
@@ -552,37 +598,23 @@ def _coverage_worker(payload):
     }
 
 
-def _fit_and_fim(model, ds, config: StudyConfig, m: int):
-    route = fit_route(config.model)
-    if route == "em":
-        res = gaussian_mixture_em(
-            ds, model.initial_theta(ds), tol=config.em_tol, max_iter=config.em_max_iter
-        )
-        if not res.converged:
-            raise NumericalError("EM hit its iteration limit")
-        theta_hat = model.canonicalize(res.theta)
-        return theta_hat, conditional_score_fim(model, ds, theta_hat)
-    if config.saem is None:
-        raise ConfigError(f"coverage for {config.model} needs a saem config block")
-    cfg = replace(config.saem, seed=_fit_seed(config, m))
-    if route == "saem_general":
-        res = run_general_saem(
-            model, ds, cfg, theta0=model.initial_theta(ds),
-            prune_epsilon=config.prune_epsilon, capacity=config.capacity,
-        )
-    else:
-        res = run_saem(model, ds, cfg, theta0=model.initial_theta(ds))
-    return res.theta, res.fim
+def _coverage_worker(payload):
+    return _wald_replicate(*payload)
 
 
-def run_coverage_study(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
-    """M replicates of simulate / fit / FIM / Wald interval; empirical coverage."""
-    if config.kind != "coverage":
-        raise ConfigError(f"expected a coverage config, got {config.kind!r}")
-    model = _model_for(config)
-    timer = ManifestTimer(_config_echo(config), config.seed)
-    payloads = [(config, m) for m in range(config.M)]
-    results = _pmap(_coverage_worker, payloads, threads)
+@dataclass(frozen=True)
+class _WaldRuns:
+    ok: list
+    failures: int
+    failure_reasons: list
+    coverage: np.ndarray
+    binomial_se: np.ndarray
+
+
+def _run_wald_replicates(config: StudyConfig, worker, threads: int) -> _WaldRuns:
+    """Fan the M replicates out to ``worker``; 2% or more failed replicates
+    fail the study, and the rest give the empirical coverage."""
+    results = _pmap(worker, [(config, m) for m in range(config.M)], threads)
     ok = [r for r in results if "error" not in r]
     failures = config.M - len(ok)
     failure_reasons = _failure_reasons(results)
@@ -591,31 +623,43 @@ def run_coverage_study(config: StudyConfig, out_dir=None, threads: int = 1) -> S
             f"{failures} of {config.M} replicates failed (limit 2%); "
             f"first error: {failure_reasons[0][1]}"
         )
-    cover = np.stack([r["cover"] for r in ok])
-    coverage = cover.mean(axis=0)
+    coverage = np.stack([r["cover"] for r in ok]).mean(axis=0)
     se = np.sqrt(coverage * (1.0 - coverage) / len(ok))
-    names = model.param_names
+    return _WaldRuns(ok, failures, failure_reasons, coverage, se)
 
-    rows = [
-        [names[l], coverage[l], se[l], len(ok), failures]
-        for l in range(len(names))
-    ]
-    files = []
+
+def _write_coverage(timer: ManifestTimer, out: Path, names, runs: _WaldRuns) -> None:
+    """coverage.csv, with the failed replicates recorded in the manifest."""
+    path = out / "coverage.csv"
+    write_table(
+        path, ["parameter", "coverage", "binomial_se", "M_effective", "failures"],
+        [[n, c, s, len(runs.ok), runs.failures]
+         for n, c, s in zip(names, runs.coverage, runs.binomial_se)],
+    )
+    timer.add_output(path)
+    timer.extra["failures"] = runs.failures
+    timer.extra["failure_reasons"] = runs.failure_reasons
+
+
+def run_coverage_study(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
+    """M replicates of simulate / fit / FIM / Wald interval; empirical coverage."""
+    if config.kind != "coverage":
+        raise ConfigError(f"expected a coverage config, got {config.kind!r}")
+    model = _model_for(config)
+    timer = ManifestTimer(_config_echo(config), config.seed)
+    runs = _run_wald_replicates(config, _coverage_worker, threads)
+    names = model.param_names
+    files = ()
     if out_dir is not None:
         out = Path(out_dir) / "coverage"
-        path = out / "coverage.csv"
-        write_table(path, ["parameter", "coverage", "binomial_se", "M_effective", "failures"], rows)
-        timer.add_output(path)
-        files.append(str(path))
-        timer.extra["failures"] = failures
-        timer.extra["failure_reasons"] = failure_reasons
-        timer.write(out)
-        files.append(str(out / "manifest.json"))
+        _write_coverage(timer, out, names, runs)
+        files = _write_manifest(timer, out)
     return StudyReport(
         kind="coverage",
-        tables={"coverage": dict(zip(names, coverage)), "binomial_se": dict(zip(names, se))},
-        files=tuple(files), m_effective=len(ok), failures=failures,
-        extras={"thetas": np.stack([r["theta"] for r in ok])},
+        tables={"coverage": dict(zip(names, runs.coverage)),
+                "binomial_se": dict(zip(names, runs.binomial_se))},
+        files=files, m_effective=len(runs.ok), failures=runs.failures,
+        extras={"thetas": np.stack([r["theta"] for r in runs.ok])},
     )
 
 
@@ -635,20 +679,10 @@ MENG_REFERENCE = np.array(
 
 def _meng_worker(payload):
     config, m = payload
-    model = _model_for(config)
-    rng = substream(config.seed, _GROUP_DATA, m)
-    ds = model.simulate(config.theta_star, config.design, rng)
-    try:
-        theta_hat, fim = _fit_and_fim(model, ds, config, m)
-        cis = wald_confidence_intervals(theta_hat, fim, config.alpha)
-    except ScorefimError as exc:
-        return {"error": str(exc)}
-    star = config.theta_star.values
-    return {
-        "total_fim": ds.n * fim.entries,
-        "cover": np.array([ci.contains(star[l]) for l, ci in enumerate(cis)], dtype=float),
-        "theta": theta_hat.values,
-    }
+    result = _wald_replicate(config, m)
+    if "fim" in result:
+        result["total_fim"] = config.design.n * result.pop("fim")
+    return result
 
 
 def run_meng_comparison(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
@@ -663,22 +697,14 @@ def run_meng_comparison(config: StudyConfig, out_dir=None, threads: int = 1) -> 
         raise ConfigError("the comparison study is defined for gaussian_mixture2")
     model = _model_for(config)
     timer = ManifestTimer(_config_echo(config), config.seed)
-    payloads = [(config, m) for m in range(config.M)]
-    results = _pmap(_meng_worker, payloads, threads)
-    ok = [r for r in results if "error" not in r]
-    failures = config.M - len(ok)
-    failure_reasons = _failure_reasons(results)
-    if failures >= 0.02 * config.M:
-        raise NumericalError(f"{failures} of {config.M} replicates failed (limit 2%)")
+    runs = _run_wald_replicates(config, _meng_worker, threads)
 
-    mats = np.stack([r["total_fim"] for r in ok])
+    mats = np.stack([r["total_fim"] for r in runs.ok])
     mean_matrix = mats.mean(axis=0)
-    se_matrix = mats.std(axis=0, ddof=1) / np.sqrt(len(ok))
-    cover = np.stack([r["cover"] for r in ok]).mean(axis=0)
-    cover_se = np.sqrt(cover * (1.0 - cover) / len(ok))
+    se_matrix = mats.std(axis=0, ddof=1) / np.sqrt(len(runs.ok))
     names = model.param_names
 
-    files = []
+    files = ()
     if out_dir is not None:
         out = Path(out_dir) / "meng_comparison"
         rows = []
@@ -691,23 +717,13 @@ def run_meng_comparison(config: StudyConfig, out_dir=None, threads: int = 1) -> 
         path = out / "mean_matrix.csv"
         write_table(path, ["component", "mean", "replicate_se", "meng_single_dataset"], rows)
         timer.add_output(path)
-        files.append(str(path))
-        cpath = out / "coverage.csv"
-        write_table(
-            cpath, ["parameter", "coverage", "binomial_se", "M_effective", "failures"],
-            [[names[l], cover[l], cover_se[l], len(ok), failures] for l in range(3)],
-        )
-        timer.add_output(cpath)
-        files.append(str(cpath))
-        timer.extra["failures"] = failures
-        timer.extra["failure_reasons"] = failure_reasons
-        timer.write(out)
-        files.append(str(out / "manifest.json"))
+        _write_coverage(timer, out, names, runs)
+        files = _write_manifest(timer, out)
     return StudyReport(
         kind="meng_comparison",
         tables={"mean_matrix": mean_matrix, "se_matrix": se_matrix,
-                "coverage": dict(zip(names, cover))},
-        files=tuple(files), m_effective=len(ok), failures=failures,
+                "coverage": dict(zip(names, runs.coverage))},
+        files=files, m_effective=len(runs.ok), failures=runs.failures,
         extras={"matrices": mats},
     )
 

@@ -216,11 +216,12 @@ def test_bad_block_rejected_by_study_and_cli(tmp_path, lmm_sim_config, block, ba
         assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / "f")]) == 2
 
 
-def test_exit_code_3_on_numerical_failure(tmp_path):
-    # EM capped at one iteration with zero tolerance: every coverage
-    # replicate fails, tripping the excluded-replicate limit
+@pytest.mark.parametrize("kind", ["coverage", "meng_comparison"])
+def test_exit_code_3_on_numerical_failure(tmp_path, capsys, kind):
+    # EM capped at one iteration with zero tolerance: every replicate fails,
+    # tripping the excluded-replicate limit, which names the first error
     study = _write(tmp_path / "study.json", {
-        "kind": "coverage",
+        "kind": kind,
         "model": "gaussian_mixture2",
         "theta_star": [2.0 / 3.0, 3.0, 0.0],
         "design": {"n": 100},
@@ -229,8 +230,25 @@ def test_exit_code_3_on_numerical_failure(tmp_path):
         "em_max_iter": 1,
         "em_tol": 0.0,
     })
-    rc = main(["coverage", "--config", study, "--out", str(tmp_path / "o")])
+    rc = main(["study", "--config", study, "--out", str(tmp_path / "o")])
     assert rc == 3
+    assert (
+        "10 of 10 replicates failed (limit 2%); first error: EM hit its iteration limit"
+        in capsys.readouterr().err
+    )
+
+
+def test_exit_code_2_on_missing_saem_block(tmp_path, capsys):
+    # an SAEM-fitted coverage study without a saem block is a config error,
+    # caught before any replicate runs
+    study = _write(tmp_path / "study.json", {
+        "kind": "coverage", "model": "lmm", "theta_star": [3, 2, 5],
+        "design": {"n": 30, "n_obs": 12}, "M": 3, "seed": 1,
+    })
+    out = tmp_path / "o"
+    assert main(["coverage", "--config", study, "--out", str(out)]) == 2
+    assert "coverage for lmm needs a saem config block" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_coverage_subcommand_kind_check(tmp_path):

@@ -12,7 +12,6 @@ def test_param_vector_basic():
     theta = ParamVector(np.array([3.0, 2.0, 5.0]), ("beta", "eta2", "sigma2"))
     assert theta.p == 3
     assert theta["eta2"] == 2.0
-    assert theta.scales[0] == 3.0 and theta.scales[1] == 2.0
     with pytest.raises(DimensionMismatch):
         ParamVector(np.array([1.0, 2.0]), ("a",))
 

@@ -1,5 +1,6 @@
-"""Static checks of the package sources: every import is used, and every
-private function, class or method is referenced somewhere in the package.
+"""Static checks of the package sources: every import is used, every
+private function, class or method is referenced somewhere in the package,
+and every public one somewhere in the package, its tests or the benchmark.
 
 The project depends on no linter, so these AST scans are the suite's lint
 check.  A package ``__init__.py`` re-exports what it imports and is skipped
@@ -12,6 +13,7 @@ from pathlib import Path
 import scorefim
 
 SRC = Path(scorefim.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]  # holds tests/ and bench/
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -28,10 +30,40 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
-def _sources():
-    """(path relative to the package, parsed module) of every source file."""
-    for path in sorted(SRC.rglob("*.py")):
-        yield str(path.relative_to(SRC)), ast.parse(path.read_text(), filename=str(path))
+def _sources(root=SRC):
+    """(path relative to root, parsed module) of every source file under root."""
+    for path in sorted(root.rglob("*.py")):
+        yield str(path.relative_to(root)), ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions(keep) -> dict:
+    """name -> first "file:line" of every package function, class or method
+    whose name ``keep`` accepts."""
+    defined = {}
+    for rel, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if keep(node.name):
+                    defined.setdefault(node.name, f"{rel}:{node.lineno}")
+    return defined
+
+
+def _mentions(roots, strings: bool) -> set:
+    """Every name, attribute and imported name in the sources under roots,
+    plus every string literal when ``strings``."""
+    used = set()
+    for root in roots:
+        for _, tree in _sources(root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+                elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    return used
 
 
 def test_no_unused_imports():
@@ -48,17 +80,16 @@ def test_no_unused_imports():
 def test_no_unreferenced_private_definitions():
     # a _-prefixed function, class or method that no name, attribute or
     # import in the package mentions is dead code left behind
-    defined, used = {}, set()
-    for rel, tree in _sources():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.setdefault(node.name, f"{rel}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+    defined = _definitions(lambda name: name.startswith("_") and not name.endswith("__"))
+    used = _mentions([SRC], strings=False)
     dead = sorted(where for name, where in defined.items() if name not in used)
     assert not dead, f"unreferenced private definitions: {dead}"
+
+
+def test_no_unreferenced_public_definitions():
+    # a public one may serve the tests or the benchmark; string literals
+    # count as mentions, since the benchmark looks functions up by name
+    defined = _definitions(lambda name: not name.startswith("_"))
+    used = _mentions([SRC, ROOT / "tests", ROOT / "bench"], strings=True)
+    dead = sorted(where for name, where in defined.items() if name not in used)
+    assert not dead, f"unreferenced public definitions: {dead}"

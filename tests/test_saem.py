@@ -283,13 +283,6 @@ class _PointMassModel(ExpoFamilyModel):
     def statistics(self, dataset, Z):
         return Z.copy()
 
-    def psi(self, dataset, theta):
-        y = np.array([r.y[0] for r in dataset.records])
-        return 0.5 * (y - theta.values[0]) ** 2
-
-    def phi(self, dataset, theta):
-        return np.zeros((dataset.n, 1))
-
     def dpsi(self, dataset, theta):
         y = np.array([r.y[0] for r in dataset.records])
         return -(y - theta.values[0])[:, None]

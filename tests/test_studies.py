@@ -256,8 +256,8 @@ def _pk_replication_raw():
 
 @pytest.mark.parametrize("raw, patched, subdir", [
     (_pk_replication_raw(), "run_saem", "saem_replication"),
-    (_gmm_raw("coverage"), "_fit_and_fim", "coverage"),
-    (_gmm_raw("meng_comparison"), "_fit_and_fim", "meng_comparison"),
+    (_gmm_raw("coverage"), "fit_model", "coverage"),
+    (_gmm_raw("meng_comparison"), "fit_model", "meng_comparison"),
 ])
 def test_failure_reasons_in_manifest(tmp_path, monkeypatch, raw, patched, subdir):
     # replicate 1 fails: its reason is kept, the CSVs keep their schema
