@@ -11,47 +11,44 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import read_dataset_csv, write_dataset_csv
 from .errors import ConfigError, NumericalError, ScorefimError
 from .fim import conditional_score_fim, observed_fim, score_outer_fim, wald_confidence_intervals, write_fim_csv
 from .modelbase import simulate_dataset
-from .models import build_model
 from .presets import PRESETS, preset_config
 from .reporting import ManifestTimer, fmt, write_table, write_trajectory_csv
 from .studies import (
-    fit_model, fit_route, parse_design_config, parse_fit_keys, parse_saem_config,
-    parse_study_config, run_study,
+    _config_block, _config_value, _seed, fit_model, fit_route, parse_design_config,
+    parse_fit_keys, parse_model_theta, parse_saem_config, parse_study_config, run_study,
 )
 
 
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return raw
 
 
-def _require(raw: dict, keys, context: str) -> None:
-    for k in keys:
-        if k not in raw:
-            raise ConfigError(f"{context} config missing key {k!r}")
+def _seed_of(args, raw: dict) -> int:
+    """The --seed override, else the config's seed (0 when absent)."""
+    return _config_value(raw if args.seed is None else {"seed": args.seed}, "seed", _seed, 0)
 
 
 def _cmd_simulate(args) -> int:
-    raw = _load_json(args.config)
-    _require(raw, ("model", "theta", "design"), "simulate")
-    unknown = set(raw) - {"model", "theta", "design", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown simulate keys: {', '.join(sorted(unknown))}")
-    model = build_model(raw["model"], n_params=len(raw["theta"]))
-    theta = model.make_params(np.asarray(raw["theta"], dtype=float))
+    raw = _config_block(
+        _load_json(args.config), "simulate", {"model", "theta", "design", "seed"},
+        required=("model", "theta", "design"),
+    )
+    model, theta = parse_model_theta(raw, "theta")
     design = parse_design_config(raw["design"])
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    seed = _seed_of(args, raw)
     ds = simulate_dataset(model, theta, design, seed)
     out = Path(args.out or "dataset.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -61,22 +58,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    raw = _load_json(args.config)
-    _require(raw, ("model",), "fit")
-    unknown = set(raw) - {"model", "theta0", "method", "saem", "seed", "alpha",
-                          "em_tol", "em_max_iter", "prune_epsilon", "capacity"}
-    if unknown:
-        raise ConfigError(f"unknown fit keys: {', '.join(sorted(unknown))}")
+    raw = _config_block(
+        _load_json(args.config), "fit",
+        {"model", "theta0", "method", "saem", "seed", "alpha",
+         "em_tol", "em_max_iter", "prune_epsilon", "capacity"},
+        required=("model",),
+    )
     if args.data is None:
         raise ConfigError("fit needs --data <dataset.csv>")
     ds = read_dataset_csv(args.data)
-    model = build_model(raw["model"], n_params=len(raw["theta0"]) if "theta0" in raw else None)
-    theta0 = (
-        model.make_params(np.asarray(raw["theta0"], dtype=float))
-        if "theta0" in raw else None
-    )
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    alpha = float(raw.get("alpha", 0.05))
+    model, theta0 = parse_model_theta(raw, "theta0")
+    seed = _seed_of(args, raw)
+    alpha = _config_value(raw, "alpha", float, 0.05)
     method = raw.get("method", fit_route(raw["model"]))
     saem = parse_saem_config(raw.get("saem", {}))
 
@@ -110,16 +103,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_fim(args) -> int:
-    raw = _load_json(args.config)
-    _require(raw, ("model", "theta"), "fim")
-    unknown = set(raw) - {"model", "theta", "estimator"}
-    if unknown:
-        raise ConfigError(f"unknown fim keys: {', '.join(sorted(unknown))}")
+    raw = _config_block(
+        _load_json(args.config), "fim", {"model", "theta", "estimator"},
+        required=("model", "theta"),
+    )
     if args.data is None:
         raise ConfigError("fim needs --data <dataset.csv>")
     ds = read_dataset_csv(args.data)
-    model = build_model(raw["model"], n_params=len(raw["theta"]))
-    theta = model.make_params(np.asarray(raw["theta"], dtype=float))
+    model, theta = parse_model_theta(raw, "theta")
     estimator = raw.get("estimator", "score")
     if estimator == "score":
         fim = score_outer_fim(model.marginal_score(ds, theta), names=theta.names)

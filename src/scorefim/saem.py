@@ -372,10 +372,6 @@ def run_saem(
                 columns["louis_diag"] = -(
                     np.einsum("ill->il", G) - D**2  # type: ignore[index]
                 ).mean(axis=0)
-            if averaging and state.stat_average is not None:
-                th_avg = model.argmax_complete(dataset, state.stat_average)
-                d_avg = individual_delta(model, dataset, state.stat_average, th_avg)
-                columns["fim_diag_averaged"] = (d_avg**2).mean(axis=0)
             run.record(k, gamma, state.theta, **columns)
 
     delta_final = individual_delta(model, dataset, state.stats, state.theta)

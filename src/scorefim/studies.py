@@ -5,11 +5,12 @@ mean-matrix comparison against the published iterative-method estimate.
 Every study is a pure function of (config, master seed): replicate m draws
 from the stream keyed (master_seed, group, m), results are reduced in
 replicate order, and output files are byte-identical for any worker count.
+``parse_study_config`` checks a config completely before anything runs, and
+``run_study`` is the one way a study runs and the one place it writes files.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from .fim import (
     wald_confidence_intervals,
 )
 from .kde import gaussian_kde, sample_moments
-from .modelbase import LatentModel
+from .modelbase import ExpoFamilyModel, LatentModel, validate_params
 from .models import build_model, gaussian_mixture_em, lmm_analytic_fim
 from .parallel import pmap as _pmap  # the replicate fan-out; bench/child.py swaps this name
 from .params import ParamVector
@@ -85,6 +86,8 @@ def fit_model(
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """A study config as ``parse_study_config`` returns it, already checked."""
+
     kind: str
     model: str
     theta_star: ParamVector
@@ -103,16 +106,6 @@ class StudyConfig:
     em_tol: float
     em_max_iter: int
 
-    def __post_init__(self):
-        if self.kind not in STUDY_KINDS:
-            raise ConfigError(f"unknown study kind {self.kind!r}")
-        if self.M < 2:
-            raise ConfigError("M must be >= 2")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if self.design.n < 1:
-            raise ConfigError("design needs n >= 1")
-
 
 @dataclass(frozen=True)
 class StudyReport:
@@ -125,10 +118,7 @@ class StudyReport:
 
 
 def _model_for(config: StudyConfig) -> LatentModel:
-    model = build_model(config.model, n_params=config.theta_star.p)
-    model._check_dim(config.theta_star)
-    model.validate_params(config.theta_star)
-    return model
+    return build_model(config.model, n_params=config.theta_star.p)
 
 
 # --------------------------------------------------------------------------
@@ -144,26 +134,90 @@ _SAEM_KEYS = {
     "burn_in", "burn_value", "exponent", "total_iterations",
     "mh_transitions_per_iter", "proposal_scales", "averaging", "thin",
 }
+_ESTIMATORS = ("score", "observed")
 
 
-def _config_block(raw, name: str, keys: set) -> dict:
-    """A ``name`` block checked to be a JSON object with no key outside ``keys``."""
+def _config_block(raw, name: str, keys: set, required=()) -> dict:
+    """A ``name`` block checked to be a JSON object with every ``required``
+    key and no key outside ``keys``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a JSON object")
     unknown = set(raw) - keys
     if unknown:
         raise ConfigError(f"unknown {name} keys: {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing {name} key {key!r}")
     return raw
+
+
+def _config_value(raw: dict, key: str, convert, default=None):
+    """``convert(raw[key])``, or ``default`` when ``key`` is absent: the one
+    way config values are read, so a value that does not convert is a
+    ConfigError, not a traceback."""
+    if key not in raw:
+        return default
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key} value {raw[key]!r}: {exc}") from exc
+
+
+def _vector(value) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1:
+        raise ValueError("expected a flat list of numbers")
+    return out
+
+
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("seeds are nonnegative integers")
+    return seed
+
+
+def _names(value) -> tuple[str, ...]:
+    if isinstance(value, str) or not all(isinstance(v, str) for v in value):
+        raise ValueError("expected a list of names")
+    return tuple(value)
+
+
+def _pairs(value) -> tuple[tuple[str, str], ...]:
+    pairs = tuple(_names(pair) for pair in value)
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected pairs of names")
+    return pairs
+
+
+def _ints(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in value)
+
+
+def _reference(value) -> str | tuple[float, ...]:
+    return value if value == "terminal_mean" else tuple(_vector(value).tolist())
+
+
+def parse_model_theta(raw: dict, key: str) -> tuple[LatentModel, ParamVector | None]:
+    """The model a config's ``model`` id names and its ``key`` vector,
+    checked as that model's parameters (None when ``key`` is absent)."""
+    values = _config_value(raw, key, _vector)
+    model = build_model(raw["model"], n_params=None if values is None else values.size)
+    if values is None:
+        return model, None
+    theta = model.make_params(values)
+    validate_params(model, theta)
+    return model, theta
 
 
 def parse_design_config(raw: dict) -> Design:
     """Strict parser of a ``design`` block (study, ``scorefim simulate``)."""
     raw = _config_block(raw, "design", _DESIGN_KEYS)
     return Design(
-        n=int(raw.get("n", 1)),
-        n_obs=int(raw["n_obs"]) if "n_obs" in raw else None,
-        times=np.asarray(raw["times"], dtype=float) if "times" in raw else None,
-        dose=float(raw["dose"]) if "dose" in raw else None,
+        n=_config_value(raw, "n", int, 1),
+        n_obs=_config_value(raw, "n_obs", int),
+        times=_config_value(raw, "times", _vector),
+        dose=_config_value(raw, "dose", float),
     )
 
 
@@ -173,18 +227,15 @@ def parse_saem_config(raw: dict) -> SaemConfig:
     raw = _config_block(raw, "saem", _SAEM_KEYS)
     return SaemConfig(
         schedule=StepSchedule(
-            burn_in=int(raw.get("burn_in", 1000)),
-            burn_value=float(raw.get("burn_value", 0.95)),
-            exponent=float(raw.get("exponent", 0.6)),
+            burn_in=_config_value(raw, "burn_in", int, 1000),
+            burn_value=_config_value(raw, "burn_value", float, 0.95),
+            exponent=_config_value(raw, "exponent", float, 0.6),
         ),
-        total_iterations=int(raw.get("total_iterations", 3000)),
-        mh_transitions_per_iter=int(raw.get("mh_transitions_per_iter", 5)),
-        proposal_scales=(
-            np.asarray(raw["proposal_scales"], dtype=float)
-            if "proposal_scales" in raw else None
-        ),
+        total_iterations=_config_value(raw, "total_iterations", int, 3000),
+        mh_transitions_per_iter=_config_value(raw, "mh_transitions_per_iter", int, 5),
+        proposal_scales=_config_value(raw, "proposal_scales", _vector),
         averaging=raw.get("averaging", "off"),
-        thin=int(raw.get("thin", 1)),
+        thin=_config_value(raw, "thin", int, 1),
     )
 
 
@@ -193,75 +244,83 @@ def parse_fit_keys(raw: dict, route: str, saem: SaemConfig | None) -> dict:
     em_tol, em_max_iter, prune_epsilon and capacity.  On the general route
     the capacity defaults to, and must not fall below, the length the
     buffer reaches under the ``saem`` block's schedule."""
-    prune_epsilon = float(raw.get("prune_epsilon", 1e-6))
-    capacity = int(raw.get("capacity", 500))
+    prune_epsilon = _config_value(raw, "prune_epsilon", float, 1e-6)
+    capacity = _config_value(raw, "capacity", int)
     if route == "saem_general" and saem is not None:
-        capacity = buffer_capacity(saem, prune_epsilon, raw.get("capacity"))
+        capacity = buffer_capacity(saem, prune_epsilon, capacity)
     return {
-        "em_tol": float(raw.get("em_tol", 1e-8)),
-        "em_max_iter": int(raw.get("em_max_iter", 2000)),
+        "em_tol": _config_value(raw, "em_tol", float, 1e-8),
+        "em_max_iter": _config_value(raw, "em_max_iter", int, 2000),
         "prune_epsilon": prune_epsilon,
-        "capacity": capacity,
+        "capacity": 500 if capacity is None else capacity,
     }
 
 
 def parse_study_config(raw: dict) -> StudyConfig:
-    """Strict parser: unknown keys anywhere are rejected."""
-    if not isinstance(raw, dict):
-        raise ConfigError("study config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in ("kind", "model", "theta_star", "design", "M", "seed"):
-        if key not in raw:
-            raise ConfigError(f"missing config key {key!r}")
-
-    model = build_model(raw["model"], n_params=len(raw["theta_star"]))
-    theta = model.make_params(np.asarray(raw["theta_star"], dtype=float))
-
+    """Strict parser: unknown keys, values that do not convert and every
+    limit a study can be seen to break are ConfigErrors here, before
+    anything runs."""
+    raw = _config_block(
+        raw, "config", _TOP_KEYS, required=("kind", "model", "theta_star", "design", "M", "seed"),
+    )
+    kind = raw["kind"]
+    if kind not in STUDY_KINDS:
+        raise ConfigError(f"unknown study kind {kind!r}")
+    model, theta = parse_model_theta(raw, "theta_star")
     design = parse_design_config(raw["design"])
     saem = parse_saem_config(raw["saem"]) if "saem" in raw else None
-
-    ref = raw.get("reference_theta", "terminal_mean")
-    if isinstance(ref, (list, tuple)):
-        ref = tuple(float(v) for v in ref)
-    elif ref != "terminal_mean":
-        raise ConfigError("reference_theta must be 'terminal_mean' or a vector")
-
-    components = tuple(
-        (str(a), str(b)) for a, b in raw.get("components", [])
-    )
     route = fit_route(raw["model"])
-    needs_saem = raw["kind"] == "saem_replication" or (
-        raw["kind"] in ("coverage", "meng_comparison") and route != "em"
-    )
-    if needs_saem and saem is None:
-        raise ConfigError(f"{raw['kind']} for {raw['model']} needs a saem config block")
-    return StudyConfig(
-        kind=str(raw["kind"]),
-        model=str(raw["model"]),
+    config = StudyConfig(
+        kind=kind,
+        model=raw["model"],
         theta_star=theta,
         design=design,
-        M=int(raw["M"]),
-        seed=int(raw["seed"]),
-        n_values=tuple(int(v) for v in raw.get("n_values", [])),
-        alpha=float(raw.get("alpha", 0.05)),
-        n_mc=int(raw.get("n_mc", 1_000_000)),
-        estimators=tuple(raw.get("estimators", ("score", "observed"))),
-        components=components,
+        M=_config_value(raw, "M", int),
+        seed=_config_value(raw, "seed", _seed),
+        n_values=_config_value(raw, "n_values", _ints, ()),
+        alpha=_config_value(raw, "alpha", float, 0.05),
+        n_mc=_config_value(raw, "n_mc", int, 1_000_000),
+        estimators=_config_value(raw, "estimators", _names, _ESTIMATORS),
+        components=_config_value(raw, "components", _pairs, ()),
         saem=saem,
-        reference_theta=ref,
+        reference_theta=_config_value(raw, "reference_theta", _reference, "terminal_mean"),
         **parse_fit_keys(raw, route, saem),
     )
 
-
-def load_study_config(path) -> StudyConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_study_config(raw)
+    if config.M < 2:
+        raise ConfigError("M must be >= 2")
+    if not 0.0 < config.alpha < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
+    unknown = sorted(set(config.estimators) - set(_ESTIMATORS))
+    if unknown:
+        raise ConfigError(f"unknown estimators {unknown}; known: {', '.join(_ESTIMATORS)}")
+    for a, b in config.components:
+        if a not in theta.names or b not in theta.names:
+            raise ConfigError(f"unknown component pair ({a}, {b})")
+    if kind in ("bias_table", "density"):
+        if not config.n_values or min(config.n_values) < 1:
+            raise ConfigError(f"{kind} study needs n_values, each >= 1")
+        if not model.has_marginal_score:
+            raise ConfigError(f"{config.model} has no analytic direct-estimator path")
+    if config.model == "lmm" and design.n_obs is None:
+        raise ConfigError("lmm design needs n_obs")
+    if kind == "meng_comparison" and config.model != "gaussian_mixture2":
+        raise ConfigError("the comparison study is defined for gaussian_mixture2")
+    if kind == "saem_replication" and not (
+        isinstance(model, ExpoFamilyModel) and model.has_complete_hessian
+    ):
+        raise ConfigError(
+            f"saem_replication runs SAEM with the Louis comparator, which needs a "
+            f"curved-exponential model with a complete Hessian; {config.model} is not one"
+        )
+    if config.reference_theta != "terminal_mean":
+        validate_params(model, model.make_params(config.reference_theta))
+    needs_saem = kind == "saem_replication" or (
+        kind in ("coverage", "meng_comparison") and route != "em"
+    )
+    if needs_saem and saem is None:
+        raise ConfigError(f"{kind} for {config.model} needs a saem config block")
+    return config
 
 
 def _config_echo(config: StudyConfig) -> dict:
@@ -271,13 +330,6 @@ def _config_echo(config: StudyConfig) -> dict:
         "values": config.theta_star.values.tolist(),
     }
     return echo
-
-
-def _write_manifest(timer: ManifestTimer, out: Path) -> tuple[str, ...]:
-    """Write the study's manifest.json; the files it wrote, in the order
-    written, manifest last."""
-    manifest = timer.write(out)
-    return (*timer.outputs, str(manifest))
 
 
 # --------------------------------------------------------------------------
@@ -307,8 +359,6 @@ def _bias_worker(payload):
 
 def _reference_matrix(model, config: StudyConfig) -> FimMatrix:
     if config.model == "lmm":
-        if config.design.n_obs is None:
-            raise ConfigError("lmm design needs n_obs")
         return lmm_analytic_fim(config.theta_star, config.design.n_obs)
     return mc_reference_fim(
         model, config.theta_star, replace(config.design, n=1),
@@ -316,18 +366,10 @@ def _reference_matrix(model, config: StudyConfig) -> FimMatrix:
     )
 
 
-def run_bias_study(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
-    """Per-component empirical bias and root mean squared deviation, per n."""
-    if config.kind not in ("bias_table", "density"):
-        raise ConfigError(f"expected a bias_table config, got {config.kind!r}")
-    if not config.n_values:
-        raise ConfigError("bias study needs n_values")
-    model = _model_for(config)
-    if not model.has_marginal_score:
-        raise ConfigError(f"{config.model} has no analytic direct-estimator path")
-    timer = ManifestTimer(_config_echo(config), config.seed)
-    reference = _reference_matrix(model, config)
-
+def _bias_samples(config: StudyConfig, threads: int):
+    """The reference matrix, the per-(estimator, n) bias/RMSD tables, the
+    deviation samples behind them and the rows of bias_rmsd.csv."""
+    reference = _reference_matrix(_model_for(config), config)
     names = config.theta_star.names
     p = len(names)
     tables = {}
@@ -350,49 +392,34 @@ def run_bias_study(config: StudyConfig, out_dir=None, threads: int = 1) -> Study
                     )
             if not np.all(rmsd + 1e-300 >= np.abs(bias)):
                 raise NumericalError("RMSD fell below |bias|")  # Jensen violated: bug
+    return reference, tables, samples, rows
 
-    files = ()
-    if out_dir is not None:
-        out = Path(out_dir) / config.kind
-        path = out / "bias_rmsd.csv"
-        write_table(
-            path,
-            ["estimator", "n", "component_row", "component_col", "bias", "rmsd", "mc_se", "M"],
-            rows,
-        )
-        timer.add_output(path)
-        timer.extra["param_names"] = list(names)
-        files = _write_manifest(timer, out)
-    return StudyReport(
-        kind=config.kind, tables=tables, files=files,
-        m_effective=config.M, failures=0,
+
+def _bias_study(config: StudyConfig, threads: int):
+    """Per-component empirical bias and root mean squared deviation, per n."""
+    reference, tables, samples, rows = _bias_samples(config, threads)
+    report = StudyReport(
+        kind="bias_table", tables=tables, files=(), m_effective=config.M, failures=0,
         extras={"reference": reference, "samples": samples},
     )
+    header = ["estimator", "n", "component_row", "component_col", "bias", "rmsd", "mc_se", "M"]
+    return report, {"bias_rmsd.csv": (header, rows)}, {"param_names": list(config.theta_star.names)}
 
 
-def run_density_study(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
+def _density_study(config: StudyConfig, threads: int):
     """Kernel densities of sqrt(n) (I_hat - I_ref) for selected components."""
-    if config.kind != "density":
-        raise ConfigError(f"expected a density config, got {config.kind!r}")
-    base = run_bias_study(replace(config, kind="density"), out_dir=None, threads=threads)
+    samples = _bias_samples(config, threads)[2]
     names = list(config.theta_star.names)
     components = config.components or _default_components(config)
-    idx = []
-    for a, b in components:
-        if a not in names or b not in names:
-            raise ConfigError(f"unknown component pair ({a}, {b})")
-        idx.append((names.index(a), names.index(b)))
-
-    timer = ManifestTimer(_config_echo(config), config.seed)
     dens_rows = {est: [] for est in config.estimators}
     moment_rows = []
     moments = {}
     for n in config.n_values:
         for est in config.estimators:
-            devs = base.extras["samples"][(est, n)]
-            for (a, b), (i, j) in zip(components, idx):
+            devs = samples[(est, n)]
+            for a, b in components:
                 label = f"{a}:{b}"
-                sample = np.sqrt(n) * devs[:, i, j]
+                sample = np.sqrt(n) * devs[:, names.index(a), names.index(b)]
                 skew, kurt = sample_moments(sample)
                 moments[(est, n, label)] = (skew, kurt, sample)
                 moment_rows.append([est, n, label, skew, kurt, len(sample)])
@@ -403,24 +430,17 @@ def run_density_study(config: StudyConfig, out_dir=None, threads: int = 1) -> St
                     [n, label, g, d] for g, d in zip(grid, dens)
                 ]
 
-    files = ()
-    if out_dir is not None:
-        out = Path(out_dir) / "density"
-        for est in config.estimators:
-            path = out / f"density_{est}.csv"
-            write_table(path, ["n", "component", "x", "density"], dens_rows[est])
-            timer.add_output(path)
-        path = out / "moments.csv"
-        write_table(
-            path, ["estimator", "n", "component", "skewness", "excess_kurtosis", "M"],
-            moment_rows,
-        )
-        timer.add_output(path)
-        files = _write_manifest(timer, out)
-    return StudyReport(
-        kind="density", tables={"moments": moments}, files=files,
-        m_effective=config.M, failures=0, extras={"base": base},
+    report = StudyReport(
+        kind="density", tables={"moments": moments}, files=(), m_effective=config.M, failures=0,
     )
+    tables = {
+        f"density_{est}.csv": (["n", "component", "x", "density"], dens_rows[est])
+        for est in config.estimators
+    }
+    tables["moments.csv"] = (
+        ["estimator", "n", "component", "skewness", "excess_kurtosis", "M"], moment_rows,
+    )
+    return report, tables, {}
 
 
 def _default_components(config: StudyConfig):
@@ -458,21 +478,16 @@ def _replication_worker(payload):
         "theta": res.theta.values,
         "fim_diag": res.trajectories["fim_diag"],
         "louis_diag": res.trajectories["louis_diag"],
-        "fim_diag_averaged": res.trajectories.get("fim_diag_averaged"),
         "iteration": res.trajectories["iteration"],
         "gamma": res.trajectories["gamma"],
     }
 
 
-def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
+def _replication_study(config: StudyConfig, threads: int):
     """M independent stochastic runs on one fixed dataset; per-iteration mean
     relative bias and relative dispersion of the FIM diagonals against the
     conditional-expectation Monte-Carlo reference."""
-    if config.kind != "saem_replication":
-        raise ConfigError(f"expected a saem_replication config, got {config.kind!r}")
     model = _model_for(config)
-    timer = ManifestTimer(_config_echo(config), config.seed)
-
     rng = substream(config.seed, _GROUP_DATA, 0)
     ds = model.simulate(config.theta_star, config.design, rng)
     theta0 = model.initial_theta(ds)
@@ -483,9 +498,11 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
     replicates_s = time.perf_counter() - t0
     ok = [r for r in results if "error" not in r]
     failures = config.M - len(ok)
-    if not ok:
-        raise NumericalError("all replication runs failed")
     failure_reasons = _failure_reasons(results)
+    if not ok:
+        raise NumericalError(
+            f"all {config.M} replication runs failed; first error: {failure_reasons[0][1]}"
+        )
 
     # reference theta: averaged terminal estimate unless pinned in the config
     if config.reference_theta == "terminal_mean":
@@ -513,10 +530,6 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
     relbias_lou = rel_lou.mean(axis=0)
     relse_lou = np.sqrt((rel_lou**2).mean(axis=0))
 
-    averaged = None
-    if ok[0].get("fim_diag_averaged") is not None and len(ok[0]["fim_diag_averaged"]):
-        averaged = np.stack([r["fim_diag_averaged"] for r in ok])
-
     names = model.param_names
     rows = []
     for t in range(len(iters)):
@@ -532,45 +545,38 @@ def run_saem_replication_study(config: StudyConfig, out_dir=None, threads: int =
         + [f"relbias_obs_{n}" for n in names]
         + [f"relse_obs_{n}" for n in names]
     )
+    terminal = [[m] + list(r["theta"]) for m, r in enumerate(results) if "error" not in r]
 
-    files = ()
-    if out_dir is not None:
-        out = Path(out_dir) / "saem_replication"
-        path = out / "replication.csv"
-        write_table(path, header, rows)
-        timer.add_output(path)
-        tpath = out / "terminal_thetas.csv"
-        write_table(
-            tpath, ["run"] + list(names),
-            [[m] + list(r["theta"]) for m, r in enumerate(results) if "error" not in r],
-        )
-        timer.add_output(tpath)
-        timer.extra["failures"] = failures
-        timer.extra["failure_reasons"] = failure_reasons
-        timer.extra["reference_theta"] = theta_ref.values.tolist()
-        timer.extra["oracle_min_ess"] = float(moments.ess.min())
-        timer.extra["replicates_s"] = round(replicates_s, 3)
-        timer.extra["oracle_s"] = round(oracle_s, 3)
-        timer.extra["oracle_fit_s"] = round(moments.fit_s, 3)
-        timer.extra["oracle_newton_iterations"] = moments.newton_iterations
-        timer.extra["oracle_mirror_refits"] = moments.mirror_refits
-        timer.extra["oracle_unconverged"] = list(moments.unconverged)
-        files = _write_manifest(timer, out)
-
-    return StudyReport(
+    report = StudyReport(
         kind="saem_replication",
         tables={
             "relbias_sco": relbias_sco, "relse_sco": relse_sco,
             "relbias_obs": relbias_lou, "relse_obs": relse_lou,
             "iteration": iters,
         },
-        files=files, m_effective=len(ok), failures=failures,
+        files=(), m_effective=len(ok), failures=failures,
         extras={
             "reference_sco": ref_sco, "reference_obs": ref_obs,
-            "theta_ref": theta_ref, "sco_runs": sco, "louis_runs": lou,
-            "averaged_runs": averaged, "dataset": ds,
+            "theta_ref": theta_ref, "sco_runs": sco, "louis_runs": lou, "dataset": ds,
         },
     )
+    tables = {
+        "replication.csv": (header, rows),
+        "terminal_thetas.csv": (["run"] + list(names), terminal),
+    }
+    manifest = {
+        "failures": failures,
+        "failure_reasons": failure_reasons,
+        "reference_theta": theta_ref.values.tolist(),
+        "oracle_min_ess": float(moments.ess.min()),
+        "replicates_s": round(replicates_s, 3),
+        "oracle_s": round(oracle_s, 3),
+        "oracle_fit_s": round(moments.fit_s, 3),
+        "oracle_newton_iterations": moments.newton_iterations,
+        "oracle_mirror_refits": moments.mirror_refits,
+        "oracle_unconverged": list(moments.unconverged),
+    }
+    return report, tables, manifest
 
 
 # --------------------------------------------------------------------------
@@ -628,39 +634,28 @@ def _run_wald_replicates(config: StudyConfig, worker, threads: int) -> _WaldRuns
     return _WaldRuns(ok, failures, failure_reasons, coverage, se)
 
 
-def _write_coverage(timer: ManifestTimer, out: Path, names, runs: _WaldRuns) -> None:
-    """coverage.csv, with the failed replicates recorded in the manifest."""
-    path = out / "coverage.csv"
-    write_table(
-        path, ["parameter", "coverage", "binomial_se", "M_effective", "failures"],
-        [[n, c, s, len(runs.ok), runs.failures]
-         for n, c, s in zip(names, runs.coverage, runs.binomial_se)],
-    )
-    timer.add_output(path)
-    timer.extra["failures"] = runs.failures
-    timer.extra["failure_reasons"] = runs.failure_reasons
+def _coverage_outputs(names, runs: _WaldRuns):
+    """The coverage.csv table, and the failed replicates for the manifest."""
+    rows = [[n, c, s, len(runs.ok), runs.failures]
+            for n, c, s in zip(names, runs.coverage, runs.binomial_se)]
+    header = ["parameter", "coverage", "binomial_se", "M_effective", "failures"]
+    return {"coverage.csv": (header, rows)}, {
+        "failures": runs.failures, "failure_reasons": runs.failure_reasons,
+    }
 
 
-def run_coverage_study(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
+def _coverage_study(config: StudyConfig, threads: int):
     """M replicates of simulate / fit / FIM / Wald interval; empirical coverage."""
-    if config.kind != "coverage":
-        raise ConfigError(f"expected a coverage config, got {config.kind!r}")
-    model = _model_for(config)
-    timer = ManifestTimer(_config_echo(config), config.seed)
+    names = _model_for(config).param_names
     runs = _run_wald_replicates(config, _coverage_worker, threads)
-    names = model.param_names
-    files = ()
-    if out_dir is not None:
-        out = Path(out_dir) / "coverage"
-        _write_coverage(timer, out, names, runs)
-        files = _write_manifest(timer, out)
-    return StudyReport(
+    report = StudyReport(
         kind="coverage",
         tables={"coverage": dict(zip(names, runs.coverage)),
                 "binomial_se": dict(zip(names, runs.binomial_se))},
-        files=files, m_effective=len(runs.ok), failures=runs.failures,
+        files=(), m_effective=len(runs.ok), failures=runs.failures,
         extras={"thetas": np.stack([r["theta"] for r in runs.ok])},
     )
+    return report, *_coverage_outputs(names, runs)
 
 
 # --------------------------------------------------------------------------
@@ -685,57 +680,60 @@ def _meng_worker(payload):
     return result
 
 
-def run_meng_comparison(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
+def _meng_study(config: StudyConfig, threads: int):
     """Mean of M total-information matrices I_sco(theta_hat), with coverage.
 
     The displayed matrices are total information (n times the per-individual
     average), matching the scale of the published comparison values.
     """
-    if config.kind != "meng_comparison":
-        raise ConfigError(f"expected a meng_comparison config, got {config.kind!r}")
-    if config.model != "gaussian_mixture2":
-        raise ConfigError("the comparison study is defined for gaussian_mixture2")
-    model = _model_for(config)
-    timer = ManifestTimer(_config_echo(config), config.seed)
+    names = _model_for(config).param_names
     runs = _run_wald_replicates(config, _meng_worker, threads)
-
     mats = np.stack([r["total_fim"] for r in runs.ok])
     mean_matrix = mats.mean(axis=0)
     se_matrix = mats.std(axis=0, ddof=1) / np.sqrt(len(runs.ok))
-    names = model.param_names
 
-    files = ()
-    if out_dir is not None:
-        out = Path(out_dir) / "meng_comparison"
-        rows = []
-        for j in range(3):
-            for i in range(j + 1):
-                rows.append(
-                    [f"{names[i]}:{names[j]}", mean_matrix[i, j], se_matrix[i, j],
-                     MENG_REFERENCE[i, j]]
-                )
-        path = out / "mean_matrix.csv"
-        write_table(path, ["component", "mean", "replicate_se", "meng_single_dataset"], rows)
-        timer.add_output(path)
-        _write_coverage(timer, out, names, runs)
-        files = _write_manifest(timer, out)
-    return StudyReport(
+    report = StudyReport(
         kind="meng_comparison",
         tables={"mean_matrix": mean_matrix, "se_matrix": se_matrix,
                 "coverage": dict(zip(names, runs.coverage))},
-        files=files, m_effective=len(runs.ok), failures=runs.failures,
+        files=(), m_effective=len(runs.ok), failures=runs.failures,
         extras={"matrices": mats},
     )
+    rows = [
+        [f"{names[i]}:{names[j]}", mean_matrix[i, j], se_matrix[i, j], MENG_REFERENCE[i, j]]
+        for j in range(3) for i in range(j + 1)
+    ]
+    coverage_tables, manifest = _coverage_outputs(names, runs)
+    tables = {
+        "mean_matrix.csv": (["component", "mean", "replicate_se", "meng_single_dataset"], rows),
+        **coverage_tables,
+    }
+    return report, tables, manifest
 
 
-RUNNERS = {
-    "bias_table": run_bias_study,
-    "density": run_density_study,
-    "saem_replication": run_saem_replication_study,
-    "coverage": run_coverage_study,
-    "meng_comparison": run_meng_comparison,
+# --------------------------------------------------------------------------
+# the one entry point: dispatch by kind, then write
+
+_STUDIES = {
+    "bias_table": _bias_study,
+    "density": _density_study,
+    "saem_replication": _replication_study,
+    "coverage": _coverage_study,
+    "meng_comparison": _meng_study,
 }
 
 
 def run_study(config: StudyConfig, out_dir=None, threads: int = 1) -> StudyReport:
-    return RUNNERS[config.kind](config, out_dir=out_dir, threads=threads)
+    """Run the study ``config`` describes on ``threads`` workers.  With
+    ``out_dir``, write its CSV tables under ``out_dir/<kind>`` and then its
+    manifest.json; the report's ``files`` lists them in that order."""
+    timer = ManifestTimer(_config_echo(config), config.seed)
+    report, tables, manifest = _STUDIES[config.kind](config, threads)
+    if out_dir is None:
+        return report
+    out = Path(out_dir) / config.kind
+    for name, (header, rows) in tables.items():
+        write_table(out / name, header, rows)
+        timer.add_output(out / name)
+    timer.extra.update(manifest)
+    return replace(report, files=(*timer.outputs, str(timer.write(out))))

@@ -29,14 +29,7 @@ from scorefim.presets import preset_config
 from scorefim.rng import substream
 from scorefim.saem import SaemConfig, StepSchedule, run_saem
 from scorefim.saem_general import WeightedSampleBuffer, buffer_update
-from scorefim.studies import (
-    parse_study_config,
-    run_bias_study,
-    run_coverage_study,
-    run_density_study,
-    run_meng_comparison,
-    run_saem_replication_study,
-)
+from scorefim.studies import parse_study_config, run_study
 
 CRITERIA: dict[int, str] = {}
 ATTEMPTED: set[int] = set()
@@ -208,7 +201,7 @@ def test_criterion_03_lmm_bias_tables_desk():
     _attempt(3)
     cfg = parse_study_config(preset_config("lmm_bias", desk=True))
     assert cfg.M == 200
-    rep = run_bias_study(cfg, out_dir=None, threads=2)
+    rep = run_study(cfg, out_dir=None, threads=2)
     names = list(cfg.theta_star.names)
 
     for n in (20, 100, 500):
@@ -289,7 +282,7 @@ def test_criterion_05_poisson_bias_tables_desk():
     _attempt(5)
     cfg = parse_study_config(preset_config("poisson_bias", desk=True))
     assert cfg.M == 200 and cfg.n_mc == 1_000_000
-    rep = run_bias_study(cfg, out_dir=None, threads=2)
+    rep = run_study(cfg, out_dir=None, threads=2)
     names = list(cfg.theta_star.names)
     ref = rep.extras["reference"]
 
@@ -318,7 +311,7 @@ def test_criterion_06_normality_diagnostics():
     for preset in ("lmm_density", "poisson_density"):
         cfg = parse_study_config(preset_config(preset, desk=True))
         assert cfg.M == 500 and tuple(cfg.n_values) == (500,)
-        rep = run_density_study(cfg, out_dir=None, threads=2)
+        rep = run_study(cfg, out_dir=None, threads=2)
         for (est, n, label), (skew, kurt, _) in rep.tables["moments"].items():
             assert abs(skew) < 0.3, (preset, est, label, skew)
             assert abs(kurt) < 0.8, (preset, est, label, kurt)
@@ -333,7 +326,7 @@ def test_criterion_07_saem_replication_desk():
     cfg = parse_study_config(preset_config("pk_replication", desk=True))
     assert cfg.M == 50 and cfg.design.n == 50
     assert cfg.saem.total_iterations == 1500 and cfg.saem.schedule.burn_in == 500
-    rep = run_saem_replication_study(cfg, out_dir=None, threads=2)
+    rep = run_study(cfg, out_dir=None, threads=2)
     assert rep.failures == 0
 
     relbias = rep.tables["relbias_sco"]
@@ -375,7 +368,7 @@ def test_criterion_09_fixed_v_coverage_desk():
     _attempt(9)
     cfg = parse_study_config(preset_config("pk_fixed_v_coverage", desk=True))
     assert cfg.M == 200
-    rep = run_coverage_study(cfg, out_dir=None, threads=2)
+    rep = run_study(cfg, out_dir=None, threads=2)
     assert rep.failures < 0.02 * cfg.M
     coverage = rep.tables["coverage"]
     for name, cov in coverage.items():
@@ -400,7 +393,7 @@ def test_criterion_10_meng_comparison_desk():
     _attempt(10)
     cfg = parse_study_config(preset_config("gmm_meng", desk=True))
     assert cfg.M == 1000 and cfg.design.n == 750
-    rep = run_meng_comparison(cfg, out_dir=None, threads=2)
+    rep = run_study(cfg, out_dir=None, threads=2)
     mean = rep.tables["mean_matrix"]
     se = rep.tables["se_matrix"]
     gap = np.abs(mean - _MENG_STUDY_MEAN)
@@ -448,8 +441,8 @@ def test_criterion_11_structural_invariants(tmp_path):
     }
     scfg = parse_study_config(raw)
     a, b = tmp_path / "a", tmp_path / "b"
-    run_bias_study(scfg, out_dir=a, threads=1)
-    run_bias_study(scfg, out_dir=b, threads=2)
+    run_study(scfg, out_dir=a, threads=1)
+    run_study(scfg, out_dir=b, threads=2)
     fa = (a / "bias_table" / "bias_rmsd.csv").read_bytes()
     fb = (b / "bias_table" / "bias_rmsd.csv").read_bytes()
     assert fa == fb

@@ -216,6 +216,75 @@ def test_bad_block_rejected_by_study_and_cli(tmp_path, lmm_sim_config, block, ba
         assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / "f")]) == 2
 
 
+def _bias_study_raw(**over):
+    return {
+        "kind": "bias_table", "model": "lmm", "theta_star": [3.0, 2.0, 5.0],
+        "design": {"n_obs": 12}, "n_values": [20], "M": 12, "seed": 5, **over,
+    }
+
+
+def _replication_raw(**over):
+    from scorefim.presets import preset_config
+
+    raw = preset_config("pk_replication", desk=True)
+    raw.update(M=2, n_mc=2_000, design={**raw["design"], "n": 8}, **over)
+    raw["saem"].update(burn_in=20, total_iterations=60)
+    return raw
+
+
+@pytest.mark.parametrize("raw", [
+    _bias_study_raw(M="ten"),
+    _bias_study_raw(capacity="big"),
+    _bias_study_raw(theta_star=3),
+    _bias_study_raw(theta_star=["a", 2, 5]),
+    _bias_study_raw(design={"n_obs": 12, "times": "abc"}),
+    _bias_study_raw(design={"n_obs": "twelve"}),
+    _bias_study_raw(saem={"burn_in": "x"}),
+    _bias_study_raw(alpha=[0.1]),
+    _bias_study_raw(estimators="score"),
+    _bias_study_raw(components=[["beta"]]),
+    _bias_study_raw(seed=-1),
+    _bias_study_raw(kind="density", components=[["beta", "betta"]]),
+    _bias_study_raw(estimators=["score", "observd"]),
+    _bias_study_raw(kind="coverage", design={"n": 30}, saem={"burn_in": 20, "total_iterations": 60}),
+    _replication_raw(model="pk_nlme_fixed_v", theta_star=[1.6, 31.0, 1.8, 0.4, 0.4, 0.75]),
+    _replication_raw(reference_theta=[1.6, 31.0, 1.8]),
+])
+def test_config_errors_exit_2_before_any_replicate(tmp_path, monkeypatch, capsys, raw):
+    # every limit a config can be seen to break is found when it is parsed
+    from scorefim import studies
+
+    def no_replicates(*args):
+        raise AssertionError("a replicate ran before the config was rejected")
+
+    monkeypatch.setattr(studies, "_pmap", no_replicates)
+    study = _write(tmp_path / "study.json", raw)
+    out = tmp_path / "o"
+    assert main(["study", "--config", study, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("simulate", {"theta": "abc"}),
+    ("simulate", {"seed": "x"}),
+    ("simulate", {"seed": -1}),
+    ("fit", {"theta0": [3, "b", 5]}),
+    ("fit", {"seed": [1]}),
+    ("fit", {"alpha": "small"}),
+    ("fim", {"theta": [3, 2, "five"]}),
+])
+def test_cli_values_that_do_not_convert_exit_2(tmp_path, lmm_sim_config, command, bad):
+    data = str(tmp_path / "data.csv")
+    assert main(["simulate", "--config", lmm_sim_config, "--out", data]) == 0
+    raw = {"model": "lmm", "theta": [3, 2, 5], "design": {"n": 5, "n_obs": 3}}
+    if command != "simulate":
+        raw = {"model": "lmm", "theta" if command == "fim" else "theta0": [3, 2, 5]}
+    cfg = _write(tmp_path / "cfg.json", {**raw, **bad})
+    args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(args if command == "simulate" else args + ["--data", data]) == 2
+
+
 @pytest.mark.parametrize("kind", ["coverage", "meng_comparison"])
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys, kind):
     # EM capped at one iteration with zero tolerance: every replicate fails,

@@ -93,3 +93,18 @@ def test_no_unreferenced_public_definitions():
     used = _mentions([SRC, ROOT / "tests", ROOT / "bench"], strings=True)
     dead = sorted(where for name, where in defined.items() if name not in used)
     assert not dead, f"unreferenced public definitions: {dead}"
+
+
+def test_only_run_study_writes_study_files():
+    # one writer: no other function in studies.py writes a table or makes
+    # the manifest's timer
+    tree = dict(_sources())["studies.py"]
+    writers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called in ("write_table", "ManifestTimer"):
+                        writers.add(fn.name)
+    assert writers == {"run_study"}, f"study files written outside run_study: {writers}"

@@ -326,7 +326,6 @@ def test_averaged_estimate_present(lmm, lmm_data):
     assert out.theta_averaged is not None
     assert out.fim_averaged is not None
     assert out.fim_averaged.is_psd()
-    assert "fim_diag_averaged" in out.trajectories
 
 
 def test_trajectory_thinning(lmm, lmm_data):

@@ -10,16 +10,7 @@ import pytest
 
 from scorefim.errors import ConfigError
 from scorefim.presets import PRESETS, preset_config
-from scorefim.studies import (
-    StudyConfig,
-    load_study_config,
-    parse_study_config,
-    run_bias_study,
-    run_coverage_study,
-    run_density_study,
-    run_meng_comparison,
-    run_study,
-)
+from scorefim.studies import parse_study_config, run_study
 
 
 def _tiny_bias_raw(**over):
@@ -57,13 +48,6 @@ def test_m_lower_bound():
         parse_study_config(_tiny_bias_raw(M=1))
 
 
-def test_load_study_config_bad_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match="malformed JSON"):
-        load_study_config(path)
-
-
 def test_all_presets_parse():
     for name in PRESETS:
         parse_study_config(preset_config(name))
@@ -72,7 +56,7 @@ def test_all_presets_parse():
 
 def test_bias_study_report(tmp_path):
     cfg = parse_study_config(_tiny_bias_raw())
-    rep = run_bias_study(cfg, out_dir=tmp_path, threads=1)
+    rep = run_study(cfg, out_dir=tmp_path, threads=1)
     assert rep.m_effective == 40
     for key, tab in rep.tables.items():
         assert np.all(tab["rmsd"] + 1e-300 >= np.abs(tab["bias"]))
@@ -87,8 +71,8 @@ def test_bias_study_threads_deterministic(tmp_path):
     cfg = parse_study_config(_tiny_bias_raw())
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run_bias_study(cfg, out_dir=a, threads=1)
-    run_bias_study(cfg, out_dir=b, threads=2)
+    run_study(cfg, out_dir=a, threads=1)
+    run_study(cfg, out_dir=b, threads=2)
     fa = (a / "bias_table" / "bias_rmsd.csv").read_bytes()
     fb = (b / "bias_table" / "bias_rmsd.csv").read_bytes()
     assert fa == fb
@@ -98,7 +82,7 @@ def test_bias_shrinks_with_n():
     # both moment estimators are unbiased; the observed trend must stay
     # within 2 combined MC standard errors (consistency as a trend check)
     raw = _tiny_bias_raw(n_values=[20, 500], M=120)
-    rep = run_bias_study(parse_study_config(raw), out_dir=None, threads=1)
+    rep = run_study(parse_study_config(raw), out_dir=None, threads=1)
     for est in ("score", "observed"):
         small = rep.tables[(est, 20)]
         large = rep.tables[(est, 500)]
@@ -111,7 +95,7 @@ def test_density_study_outputs(tmp_path):
         kind="density", n_values=[50], M=60,
         components=[["beta", "beta"], ["sigma2", "sigma2"]],
     )
-    rep = run_density_study(parse_study_config(raw), out_dir=tmp_path, threads=1)
+    rep = run_study(parse_study_config(raw), out_dir=tmp_path, threads=1)
     dens = Path(tmp_path) / "density" / "density_score.csv"
     rows = dens.read_text().splitlines()
     assert rows[0] == "n,component,x,density"
@@ -161,7 +145,7 @@ def test_gmm_coverage_small(tmp_path):
         "seed": 1234,
         "alpha": 0.05,
     }
-    rep = run_coverage_study(parse_study_config(raw), out_dir=tmp_path, threads=1)
+    rep = run_study(parse_study_config(raw), out_dir=tmp_path, threads=1)
     assert rep.failures == 0
     for name, cov in rep.tables["coverage"].items():
         assert 0.8 <= cov <= 1.0
@@ -181,7 +165,7 @@ def test_coverage_alpha_one_zero_coverage():
         "seed": 4321,
         "alpha": 0.999999999,
     }
-    rep = run_coverage_study(parse_study_config(raw), out_dir=None, threads=1)
+    rep = run_study(parse_study_config(raw), out_dir=None, threads=1)
     for cov in rep.tables["coverage"].values():
         assert cov == 0.0
 
@@ -195,7 +179,7 @@ def test_meng_comparison_small():
         "M": 40,
         "seed": 77,
     }
-    rep = run_meng_comparison(parse_study_config(raw), out_dir=None, threads=1)
+    rep = run_study(parse_study_config(raw), out_dir=None, threads=1)
     mean = rep.tables["mean_matrix"]
     assert mean[0, 0] > 2000  # total-information scale
     assert mean[0, 1] < 0 and mean[0, 2] < 0
@@ -282,3 +266,16 @@ def test_failure_reasons_in_manifest(tmp_path, monkeypatch, raw, patched, subdir
     if subdir == "saem_replication":  # rows keep their replicate index
         with open(tmp_path / subdir / "terminal_thetas.csv") as fh:
             assert [int(row["run"]) for row in csv.DictReader(fh)] == [0, 2]
+
+
+def test_replication_gate_names_the_first_error(monkeypatch):
+    # every chain fails: the study fails and says why, as the Wald gate does
+    from scorefim import studies
+    from scorefim.errors import NumericalError
+
+    def fail(*args, **kwargs):
+        raise NumericalError("injected failure")
+
+    monkeypatch.setattr(studies, "run_saem", fail)
+    with pytest.raises(NumericalError, match="all 3 replication runs failed; first error: injected failure"):
+        run_study(parse_study_config(_pk_replication_raw()), out_dir=None, threads=1)
