@@ -13,7 +13,10 @@ from pathlib import Path
 
 from .data import read_dataset_csv, write_dataset_csv
 from .errors import ConfigError, NumericalError, ScorefimError
-from .fim import conditional_score_fim, observed_fim, score_outer_fim, wald_confidence_intervals, write_fim_csv
+from .fim import (
+    conditional_score_fim, observed_fim, score_outer_fim, wald_alpha, wald_confidence_intervals,
+    write_fim_csv,
+)
 from .modelbase import simulate_dataset
 from .presets import PRESETS, preset_config
 from .reporting import ManifestTimer, fmt, write_table, write_trajectory_csv
@@ -69,7 +72,7 @@ def _cmd_fit(args) -> int:
     ds = read_dataset_csv(args.data)
     model, theta0 = parse_model_theta(raw, "theta0")
     seed = _seed_of(args, raw)
-    alpha = _config_value(raw, "alpha", float, 0.05)
+    alpha = _config_value(raw, "alpha", wald_alpha, 0.05)
     method = raw.get("method", fit_route(raw["model"]))
     saem = parse_saem_config(raw.get("saem", {}))
 

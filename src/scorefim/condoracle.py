@@ -196,7 +196,7 @@ def _individual_moments(task):
     """
     model, record, theta, mode, cov, i, n_draws, seed, df, min_ess, with_hessian = task
     draws, logq = _mvt_draws(mode, cov, df, n_draws, substream(seed, 2, i))
-    rep = Dataset((record,) * n_draws)
+    rep = Dataset.replicate(record, n_draws)
     logf = model.complete_loglik(rep, draws, theta)
     lw = logf - logq
     lw -= lw.max()

@@ -1,4 +1,11 @@
-"""Datasets of per-individual observation records, plus CSV serialization.
+"""Columnar datasets of per-individual observations, plus CSV serialization.
+
+A ``Dataset`` holds its n individuals as read-only columns: ``y`` (n, J)
+with individual i's observations in its first ``n_obs()[i]`` slots and
+zeros after them, J being the longest record; for designs with times and
+doses, ``times`` (n, J) padded the same way with t = 0, and ``doses`` (n,).
+Models read these arrays; ``records`` offers one ``IndividualRecord`` view
+per individual, built on first use, for the few per-record consumers.
 
 CSV schema: ``individual, obs_index, time, dose, y`` with design columns left
 empty where a model has no such notion; rows are individual-major.
@@ -8,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,73 +30,188 @@ def _frozen(a, dtype=float):
     return out
 
 
+def _column(a, dtype=float):
+    """``a`` as a read-only array: kept as it is when it already is one of
+    ``dtype`` (a broadcast view, say), copied otherwise."""
+    a = np.asarray(a)
+    return a if a.dtype == dtype and not a.flags.writeable else _frozen(a, dtype)
+
+
+def _columns(y, n_obs=None, times=None, doses=None):
+    """(y, n_obs, times, doses) as read-only arrays, after the checks that
+    every dataset's columns pass (see ``Dataset.from_arrays``)."""
+    y = _column(y)
+    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
+        raise DimensionMismatch("y must hold n >= 1 records of J >= 1 observations")
+    n, J = y.shape
+    n_obs = np.full(n, J) if n_obs is None else _column(n_obs, int)
+    if n_obs.shape != (n,):
+        raise DimensionMismatch("n_obs must hold one count per row of y")
+    if n_obs.min() < 1 or n_obs.max() != J:
+        raise DimensionMismatch("records need 1 to J observations, the longest all J")
+    past_end = np.arange(J) >= n_obs[:, None]
+    if times is not None:
+        times = _column(times)
+        if times.shape != y.shape:
+            raise DimensionMismatch("times must align with y")
+        if (np.diff(times, axis=1) <= 0)[~past_end[:, 1:]].any():
+            raise DomainViolation("observation times must be strictly increasing")
+    if past_end.any() and any(a is not None and a[past_end].any() for a in (y, times)):
+        raise DimensionMismatch("slots past a record's end must hold 0")
+    if doses is not None:
+        doses = _column(doses)
+        if doses.shape != (n,):
+            raise DimensionMismatch("doses must hold one dose per row of y")
+        if not (doses > 0).all():
+            raise DomainViolation("dose must be positive", component="dose")
+    return y, n_obs, times, doses
+
+
 @dataclass(frozen=True)
 class IndividualRecord:
-    """Observations and design for one individual."""
+    """Observations and design for one individual, checked as one row of a
+    dataset's columns."""
 
     y: np.ndarray
     times: np.ndarray | None = None
     dose: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _frozen(self.y))
-        if self.y.ndim != 1 or self.y.size < 1:
-            raise DimensionMismatch("y must be a nonempty vector")
-        if self.times is not None:
-            object.__setattr__(self, "times", _frozen(self.times))
-            if self.times.shape != self.y.shape:
-                raise DimensionMismatch("times must align with y")
-            if np.any(np.diff(self.times) <= 0):
-                raise DomainViolation("observation times must be strictly increasing")
-        if self.dose is not None and not self.dose > 0:
-            raise DomainViolation("dose must be positive", component="dose")
+        y = _frozen(self.y)
+        times = None if self.times is None else _frozen(self.times)
+        _columns(
+            y[None], times=None if times is None else times[None],
+            doses=None if self.dose is None else [self.dose],
+        )
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "times", times)
 
     @property
     def n_obs(self) -> int:
         return self.y.size
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable sequence of individual records.
+def _record_view(y, times, dose) -> IndividualRecord:
+    """A record over arrays a Dataset has already checked and made read-only."""
+    rec = object.__new__(IndividualRecord)
+    for name, value in (("y", y), ("times", times), ("dose", dose)):
+        object.__setattr__(rec, name, value)
+    return rec
 
+
+class Dataset:
+    """Immutable columnar observations of n >= 1 individuals (module docstring).
+
+    ``Dataset(records)`` builds the columns from checked IndividualRecords,
+    ``Dataset.from_arrays`` from arrays, and ``Dataset.replicate`` from one
+    record repeated.
     ``latent_truth`` optionally retains the simulated latent values, one row
     per individual; estimators never read it.
     """
 
-    records: tuple[IndividualRecord, ...]
-    latent_truth: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if len(self.records) < 1:
+    def __init__(self, records, latent_truth=None):
+        records = tuple(records)
+        if not records:
             raise DimensionMismatch("dataset needs at least one individual")
-        if self.latent_truth is not None:
-            truth = _frozen(np.atleast_2d(self.latent_truth))
-            if truth.shape[0] != len(self.records):
+        n_obs = np.array([r.n_obs for r in records])
+        y = np.zeros((len(records), n_obs.max()))
+        times = None if records[0].times is None else np.zeros_like(y)
+        with_dose = records[0].dose is not None
+        for i, r in enumerate(records):
+            if (r.times is not None) != (times is not None) or (r.dose is not None) != with_dose:
+                raise DimensionMismatch("either every record has times (a dose) or none has")
+            y[i, : r.n_obs] = r.y
+            if times is not None:
+                times[i, : r.n_obs] = r.times
+        doses = np.array([r.dose for r in records], dtype=float) if with_dose else None
+        self._set(y, n_obs, times, doses, latent_truth)
+        self.memo("records", lambda: records)
+
+    @classmethod
+    def from_arrays(cls, y, n_obs=None, times=None, doses=None, latent_truth=None) -> "Dataset":
+        """A dataset from its columns, after the checks IndividualRecord runs
+        on each record.
+
+        ``y`` is (n, J); ``n_obs`` (n,) defaults to J for every row, and the
+        longest record must fill all J slots; slots past a record's end must
+        hold 0 in ``y`` and ``times``.  ``times`` (n, J) and ``doses`` (n,)
+        are optional.  Read-only float arrays, broadcast views included, are
+        kept as given; any other input is copied.
+        """
+        self = cls.__new__(cls)
+        self._set(*_columns(y, n_obs, times, doses), latent_truth)
+        return self
+
+    @classmethod
+    def replicate(cls, record: IndividualRecord, n: int) -> "Dataset":
+        """n copies of one record, every column a read-only broadcast view."""
+        J = record.n_obs
+        self = cls.__new__(cls)
+        self._set(
+            np.broadcast_to(record.y, (n, J)), np.broadcast_to(J, (n,)),
+            None if record.times is None else np.broadcast_to(record.times, (n, J)),
+            None if record.dose is None else np.broadcast_to(float(record.dose), (n,)),
+            None,
+        )
+        return self
+
+    def _set(self, y, n_obs, times, doses, latent_truth):
+        for a in (y, n_obs, times, doses):
+            if a is not None and a.flags.writeable:
+                a.setflags(write=False)
+        if latent_truth is not None:
+            latent_truth = _frozen(np.atleast_2d(latent_truth))
+            if latent_truth.shape[0] != y.shape[0]:
                 raise DimensionMismatch("latent truth must have one row per individual")
-            object.__setattr__(self, "latent_truth", truth)
+        self.__dict__.update(
+            y=y, times=times, doses=doses, latent_truth=latent_truth, _n_obs=n_obs
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Dataset is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.y.shape[0]
 
     def n_obs(self) -> np.ndarray:
-        """Observations per record; cached and read-only."""
-        return self.memo("n_obs", lambda: _frozen([r.n_obs for r in self.records], dtype=int))
+        """Observations per record, read-only."""
+        return self._n_obs
+
+    @property
+    def records(self) -> tuple[IndividualRecord, ...]:
+        """One IndividualRecord per individual, viewing the columns; built on
+        first use and kept."""
+
+        def build():
+            out = []
+            for i, k in enumerate(self._n_obs.tolist()):
+                times = None if self.times is None else self.times[i, :k]
+                dose = None if self.doses is None else float(self.doses[i])
+                out.append(_record_view(self.y[i, :k], times, dose))
+            return tuple(out)
+
+        return self.memo("records", build)
 
     def subset(self, indices) -> "Dataset":
-        truth = None
-        if self.latent_truth is not None:
-            truth = self.latent_truth[list(indices)]
-        return Dataset(tuple(self.records[i] for i in indices), latent_truth=truth)
+        """The individuals at ``indices``, in that order."""
+        rows = np.asarray(indices, dtype=int).reshape(-1)
+        if rows.size == 0:
+            raise DimensionMismatch("dataset needs at least one individual")
+        n_obs = self._n_obs[rows]
+        J = int(n_obs.max())
+
+        def pick(a):
+            return None if a is None else a[rows, :J] if a.ndim == 2 else a[rows]
+
+        truth = None if self.latent_truth is None else self.latent_truth[rows]
+        out = Dataset.__new__(Dataset)
+        out._set(pick(self.y), n_obs, pick(self.times), pick(self.doses), truth)
+        return out
 
     def memo(self, key: str, builder):
-        """Cache a derived view on this immutable dataset (records never change)."""
-        cache = self.__dict__.get("_memo")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_memo", cache)
+        """Cache a derived view on this immutable dataset (columns never change)."""
+        cache = self.__dict__.setdefault("_memo", {})
         if key not in cache:
             cache[key] = builder()
         return cache[key]

@@ -215,6 +215,15 @@ class WaldInterval:
         return self.lower <= value <= self.upper
 
 
+def wald_alpha(alpha) -> float:
+    """``alpha`` as a float, checked against the range (0, 1] of
+    ``wald_confidence_intervals``."""
+    alpha = float(alpha)
+    if not 0 < alpha <= 1:
+        raise DomainViolation("alpha must be in (0, 1]", component="alpha")
+    return alpha
+
+
 def wald_confidence_intervals(
     theta_hat: ParamVector, fim: FimMatrix, alpha: float
 ) -> list[WaldInterval]:
@@ -222,8 +231,7 @@ def wald_confidence_intervals(
 
     ``fim`` is per-individual; the recorded n scales it to total information.
     """
-    if not 0 < alpha <= 1:
-        raise DomainViolation("alpha must be in (0, 1]", component="alpha")
+    alpha = wald_alpha(alpha)
     if fim.p != theta_hat.p:
         raise DimensionMismatch("FIM and estimate dimensions differ")
     cov = invert_fim(fim.n * fim.entries)

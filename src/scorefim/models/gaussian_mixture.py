@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, IndividualRecord
+from ..data import Dataset
 from ..errors import DimensionMismatch, DomainViolation, MStepFailure
 from ..modelbase import ExpoFamilyModel
 from ..params import ParamVector
@@ -33,12 +33,9 @@ class GaussianMixtureModel(ExpoFamilyModel):
             raise DomainViolation(f"pi = {pi:.6g} outside (0, 1)", component="pi")
 
     def _y(self, dataset: Dataset) -> np.ndarray:
-        def build():
-            if any(r.n_obs != 1 for r in dataset.records):
-                raise DimensionMismatch("mixture individuals carry a single observation")
-            return np.array([r.y[0] for r in dataset.records])
-
-        return dataset.memo("mixture_y", build)
+        if dataset.y.shape[1] != 1:
+            raise DimensionMismatch("mixture individuals carry a single observation")
+        return dataset.y[:, 0]
 
     # --- complete data -----------------------------------------------------
     def complete_loglik(self, dataset, Z, theta):
@@ -76,8 +73,7 @@ class GaussianMixtureModel(ExpoFamilyModel):
         pi, mu1, mu2 = theta.values
         z = (rng.random(design.n) < pi).astype(float)
         y = np.where(z > 0.5, mu2, mu1) + rng.standard_normal(design.n)
-        records = tuple(IndividualRecord(y=np.array([yi])) for yi in y)
-        return Dataset(records, latent_truth=z[:, None])
+        return Dataset.from_arrays(y[:, None], latent_truth=z[:, None])
 
     def responsibility(self, dataset, theta) -> np.ndarray:
         """P(z_i = 1 | y_i; theta), the mu2-component posterior weight."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import Dataset, IndividualRecord
+from ..data import Dataset
 from ..errors import DomainViolation, MStepFailure
 from ..fim import FimMatrix
 from ..modelbase import ExpoFamilyModel
@@ -23,10 +23,8 @@ def _summaries(dataset: Dataset):
     """Per-individual (J, sum y, sum y^2); cached on the dataset."""
 
     def build():
-        J = np.array([r.n_obs for r in dataset.records], dtype=float)
-        sumy = np.array([r.y.sum() for r in dataset.records])
-        sumy2 = np.array([(r.y**2).sum() for r in dataset.records])
-        return J, sumy, sumy2
+        y = dataset.y  # zero-padded: the padding adds 0 to both sums
+        return dataset.n_obs().astype(float), y.sum(axis=1), (y**2).sum(axis=1)
 
     return dataset.memo("lmm_summaries", build)
 
@@ -97,8 +95,7 @@ class LinearMixedModel(ExpoFamilyModel):
         n, J = design.n, design.n_obs
         z = rng.normal(0.0, np.sqrt(eta2), size=n)
         y = beta + z[:, None] + rng.normal(0.0, np.sqrt(sigma2), size=(n, J))
-        records = tuple(IndividualRecord(y=row) for row in y)
-        return Dataset(records, latent_truth=z[:, None])
+        return Dataset.from_arrays(y, latent_truth=z[:, None])
 
     def _posterior(self, dataset, theta):
         """Conditional z | y is Gaussian: returns (mean, variance)."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import Dataset, IndividualRecord
+from ..data import Dataset
 from ..errors import DomainViolation, MStepFailure
 from ..modelbase import ExpoFamilyModel, LatentModel
 from ..params import ParamVector
@@ -89,38 +89,13 @@ def pk_prediction(dose, t, ka, V, Cl):
 
 
 def _design_arrays(dataset: Dataset):
-    """(Y, T, doses): (n, J) observations and times, and the n doses.
-
-    J is the longest record; shorter records are padded with t = 0 and
-    y = 0, where the prediction and its V-derivative are exactly 0, so a
-    padded slot adds exactly 0 to every residual sum.  When every record is
-    one object, as in the oracle's replicated-record datasets, the arrays are
-    read-only broadcast views of that record.
-    """
-
-    def build():
-        records = dataset.records
-        first = records[0]
-        replicated = all(r is first for r in records)
-        for r in (first,) if replicated else records:
-            if r.times is None or r.dose is None:
-                raise DomainViolation("pk records need times and dose")
-        if replicated:
-            shape = (dataset.n, first.n_obs)
-            return (
-                np.broadcast_to(first.y, shape),
-                np.broadcast_to(first.times, shape),
-                np.broadcast_to(np.float64(first.dose), shape[:1]),
-            )
-        Y = np.zeros((dataset.n, dataset.n_obs().max()))
-        T = np.zeros_like(Y)
-        for i, r in enumerate(records):
-            Y[i, : r.n_obs] = r.y
-            T[i, : r.n_obs] = r.times
-        doses = np.array([r.dose for r in records])
-        return Y, T, doses
-
-    return dataset.memo("pk_design_arrays", build)
+    """(Y, T, doses): the dataset's (n, J) observations and times and its n
+    doses.  Records shorter than J are padded with t = 0 and y = 0, where the
+    prediction and its V-derivative are exactly 0, so a padded slot adds
+    exactly 0 to every residual sum."""
+    if dataset.times is None or dataset.doses is None:
+        raise DomainViolation("pk records need times and dose")
+    return dataset.y, dataset.times, dataset.doses
 
 
 def _rss_per_individual(dataset, Z, V_fixed=None):
@@ -139,12 +114,15 @@ def _rss_per_individual(dataset, Z, V_fixed=None):
         and prev.shape == Z.shape and (prev == Z).all()
     ):
         return last["rss"]
-    ka = np.exp(Z[:, 0])
-    cl = np.exp(Z[:, 1])
-    v = np.full(dataset.n, V_fixed) if V_fixed is not None else np.exp(Z[:, 2])
     Y, T, doses = _design_arrays(dataset)
-    pred = pk_prediction(doses[:, None], T, ka[:, None], v[:, None], cl[:, None])
-    rss = ((Y - pred) ** 2).sum(axis=1)
+    # a latent far enough out to overflow exp leaves its row's sum non-finite,
+    # which complete_loglik reads as -inf: no warning is due
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ka = np.exp(Z[:, 0])
+        cl = np.exp(Z[:, 1])
+        v = np.full(dataset.n, V_fixed) if V_fixed is not None else np.exp(Z[:, 2])
+        pred = pk_prediction(doses[:, None], T, ka[:, None], v[:, None], cl[:, None])
+        rss = ((Y - pred) ** 2).sum(axis=1)
     rss.setflags(write=False)
     last.update(Z=np.array(Z, dtype=float), V_fixed=V_fixed, rss=rss)
     return rss
@@ -252,10 +230,9 @@ class PkNlmeModel(ExpoFamilyModel):
         T = np.asarray(design.times, dtype=float)
         pred = pk_prediction(design.dose, T[None, :], ka[:, None], v[:, None], cl[:, None])
         y = pred + rng.standard_normal((n, T.size)) * np.sqrt(sigma2)
-        records = tuple(
-            IndividualRecord(y=row, times=T, dose=design.dose) for row in y
+        return Dataset.from_arrays(
+            y, times=np.broadcast_to(T, y.shape), doses=np.full(n, design.dose), latent_truth=Z
         )
-        return Dataset(records, latent_truth=Z)
 
     def initial_latents(self, dataset, theta, rng):
         pops, oms, _ = self._unpack(theta)
@@ -384,10 +361,9 @@ class PkFixedVModel(LatentModel):
         T = np.asarray(design.times, dtype=float)
         pred = pk_prediction(design.dose, T[None, :], ka[:, None], V, cl[:, None])
         y = pred + rng.standard_normal((n, T.size)) * np.sqrt(sigma2)
-        records = tuple(
-            IndividualRecord(y=row, times=T, dose=design.dose) for row in y
+        return Dataset.from_arrays(
+            y, times=np.broadcast_to(T, y.shape), doses=np.full(n, design.dose), latent_truth=Z
         )
-        return Dataset(records, latent_truth=Z)
 
     def initial_latents(self, dataset, theta, rng):
         pops, _, oms, _ = self._unpack(theta)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from ..data import Dataset, IndividualRecord
+from ..data import Dataset
 from ..errors import DimensionMismatch, DomainViolation, MStepFailure
 from ..modelbase import ExpoFamilyModel
 from ..params import ParamVector
@@ -56,12 +56,9 @@ class PoissonMixtureModel(ExpoFamilyModel):
                 )
 
     def _y(self, dataset: Dataset) -> np.ndarray:
-        def build():
-            if any(r.n_obs != 1 for r in dataset.records):
-                raise DimensionMismatch("mixture individuals carry a single observation")
-            return np.array([r.y[0] for r in dataset.records])
-
-        return dataset.memo("mixture_y", build)
+        if dataset.y.shape[1] != 1:
+            raise DimensionMismatch("mixture individuals carry a single observation")
+        return dataset.y[:, 0]
 
     # --- complete data -----------------------------------------------------
     def complete_loglik(self, dataset, Z, theta):
@@ -102,8 +99,7 @@ class PoissonMixtureModel(ExpoFamilyModel):
         lam, alpha = self.split(theta)
         z = rng.choice(self.K, size=design.n, p=alpha)
         y = rng.poisson(lam[z]).astype(float)
-        records = tuple(IndividualRecord(y=np.array([yi])) for yi in y)
-        return Dataset(records, latent_truth=z[:, None].astype(float))
+        return Dataset.from_arrays(y[:, None], latent_truth=z[:, None].astype(float))
 
     def posterior(self, dataset, theta) -> np.ndarray:
         """Class probabilities w_ik proportional to alpha_k Poisson(y_i; lambda_k)."""
@@ -218,7 +214,7 @@ class PoissonMixtureModel(ExpoFamilyModel):
         lam, alpha = self.split(theta)
         ymax = int(np.max(lam) + 40.0 * np.sqrt(np.max(lam)) + 60)
         y = np.arange(ymax + 1).astype(float)
-        ds = Dataset(tuple(IndividualRecord(y=np.array([v])) for v in y))
+        ds = Dataset.from_arrays(y[:, None])
         g = np.exp(self.marginal_loglik(ds, theta))
         if g.sum() <= 1.0 - 1e-9:
             raise DomainViolation("support truncation lost probability mass")

@@ -285,6 +285,30 @@ def test_cli_values_that_do_not_convert_exit_2(tmp_path, lmm_sim_config, command
     assert main(args if command == "simulate" else args + ["--data", data]) == 2
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -0.1])
+def test_fit_rejects_alpha_before_fitting(tmp_path, monkeypatch, alpha):
+    # alpha outside the (0, 1] of the Wald intervals is a config error found
+    # when the config is read: nothing is fitted and no output is written
+    import scorefim.cli as cli
+
+    data = tmp_path / "data.csv"
+    sim = _write(tmp_path / "sim.json", {
+        "model": "gaussian_mixture2", "theta": [2.0 / 3.0, 3.0, 0.0], "design": {"n": 400},
+    })
+    assert main(["simulate", "--config", sim, "--out", str(data)]) == 0
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_model ran")
+
+    monkeypatch.setattr(cli, "fit_model", no_fit)
+    fit = _write(tmp_path / "fit.json", {
+        "model": "gaussian_mixture2", "theta0": [0.5, 2.5, 0.5], "alpha": alpha,
+    })
+    out = tmp_path / "fo"
+    assert main(["fit", "--config", fit, "--data", str(data), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["coverage", "meng_comparison"])
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys, kind):
     # EM capped at one iteration with zero tolerance: every replicate fails,

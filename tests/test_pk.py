@@ -406,10 +406,11 @@ def test_replicated_record_matches_the_single_record_rows(pk, pk_data, pk_theta)
 
     rec = pk_data.records[4]
     n = 40
-    rep = Dataset((rec,) * n)
+    rep = Dataset.replicate(rec, n)  # as the oracle builds its draws' dataset
     Y, T, doses = _design_arrays(rep)
     assert Y.shape == T.shape == (n, rec.n_obs) and doses.shape == (n,)
     assert not (Y.flags.writeable or T.flags.writeable or doses.flags.writeable)
+    assert Y.strides[0] == T.strides[0] == doses.strides[0] == 0  # broadcast views
     Z = pk.initial_latents(rep, pk_theta, substream(4, 1))
     one = Dataset((rec,))
     for method in ("complete_loglik", "complete_score", "complete_hessian"):
