@@ -194,20 +194,10 @@ class Dataset:
         return self.memo("records", build)
 
     def subset(self, indices) -> "Dataset":
-        """The individuals at ``indices``, in that order."""
-        rows = np.asarray(indices, dtype=int).reshape(-1)
-        if rows.size == 0:
-            raise DimensionMismatch("dataset needs at least one individual")
-        n_obs = self._n_obs[rows]
-        J = int(n_obs.max())
-
-        def pick(a):
-            return None if a is None else a[rows, :J] if a.ndim == 2 else a[rows]
-
-        truth = None if self.latent_truth is None else self.latent_truth[rows]
-        out = Dataset.__new__(Dataset)
-        out._set(pick(self.y), n_obs, pick(self.times), pick(self.doses), truth)
-        return out
+        truth = None
+        if self.latent_truth is not None:
+            truth = self.latent_truth[list(indices)]
+        return Dataset(tuple(self.records[i] for i in indices), latent_truth=truth)
 
     def memo(self, key: str, builder):
         """Cache a derived view on this immutable dataset (columns never change)."""
