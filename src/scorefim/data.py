@@ -104,9 +104,8 @@ class Dataset:
 
     ``Dataset(records)`` builds the columns from checked IndividualRecords,
     ``Dataset.from_arrays`` from arrays, and ``Dataset.replicate`` from one
-    record repeated.
-    ``latent_truth`` optionally retains the simulated latent values, one row
-    per individual; estimators never read it.
+    record repeated.  ``latent_truth`` optionally retains the simulated latent
+    values, one row per individual; estimators never read it.
     """
 
     def __init__(self, records, latent_truth=None):

@@ -191,10 +191,6 @@ def test_from_arrays_rejects_what_records_reject(case):
 def test_from_arrays_rejects_inconsistent_columns(array_kwargs):
     with pytest.raises(DimensionMismatch):
         Dataset.from_arrays(**array_kwargs)
-    if "latent_truth" in array_kwargs:
-        with pytest.raises(DimensionMismatch):
-            Dataset(tuple(IndividualRecord(y=np.ones(3)) for _ in range(2)),
-                    latent_truth=array_kwargs["latent_truth"])
 
 
 def test_records_must_agree_on_design_columns():
