@@ -207,10 +207,17 @@ def _individual_moments(task):
         raise NumericalError(
             f"importance sampling degenerate for individual {i} (ESS {ess:.1f})"
         )
+    # a draw whose latents overflow exp has weight exactly 0 but may have a
+    # NaN score or Hessian; zero those rows in place rather than drop them, so
+    # that 0 x NaN cannot spoil the moments and the summation order stays
+    dead = w == 0
     sc = model.complete_score(rep, draws, theta)
+    sc[dead] = 0.0
     ehess = None
     if with_hessian:
-        ehess = np.einsum("b,bjk->jk", w, model.complete_hessian(rep, draws, theta))
+        hess = model.complete_hessian(rep, draws, theta)
+        hess[dead] = 0.0
+        ehess = np.einsum("b,bjk->jk", w, hess)
     return w @ sc, np.einsum("b,bj,bk->jk", w, sc, sc), ehess, ess
 
 

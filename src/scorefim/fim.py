@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import Dataset, Design
 from .errors import (
@@ -235,7 +235,7 @@ def wald_confidence_intervals(
     if fim.p != theta_hat.p:
         raise DimensionMismatch("FIM and estimate dimensions differ")
     cov = invert_fim(fim.n * fim.entries)
-    q = norm.ppf(1.0 - alpha / 2.0)
+    q = ndtri(1.0 - alpha / 2.0)
     out = []
     for l, name in enumerate(theta_hat.names):
         se = float(np.sqrt(max(cov[l, l], 0.0)))

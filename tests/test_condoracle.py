@@ -136,3 +136,16 @@ def test_oracle_degenerate_individual_same_error_at_any_worker_count(pk, pk_desk
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"individual {first} " in messages[0]
+
+
+@pytest.mark.parametrize("seed", [1, 4, 5])
+def test_oracle_moments_finite_when_draws_overflow(pk, pk_theta, pk_data, monkeypatch, seed):
+    # a one-step Laplace fit leaves poor proposals: some draws overflow exp,
+    # weigh exactly 0 and have NaN scores, which must not reach the moments
+    monkeypatch.setattr(condoracle, "_NEWTON_MAX_ITER", 1)
+    design = Design(n=3, times=pk_data.records[0].times, dose=320.0)
+    ds = simulate_dataset(pk, pk_theta, design, seed=seed)
+    mom = conditional_moments(pk, ds, pk_theta, n_draws=2_000, seed=seed, min_ess=1)
+    assert mom.ess.min() < 5
+    for name in ("escore", "escore_outer", "ehessian"):
+        assert np.all(np.isfinite(getattr(mom, name))), name

@@ -81,6 +81,22 @@ def test_wald_standard_normal_quantile():
         assert ci.lower == pytest.approx(-1.959964, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_wald_quantile_is_the_normal_ppf_bit_for_bit(alpha):
+    # the intervals take q from scipy.special.ndtri so that importing the
+    # package leaves scipy.stats out; the bounds must stay exactly those of
+    # norm.ppf
+    from scipy.stats import norm
+
+    theta = ParamVector(np.array([1.5, -0.3]), ("a", "b"))
+    fim = FimMatrix(np.array([[2.0, 0.3], [0.3, 0.7]]), "score", 9, ("a", "b"))
+    q = norm.ppf(1.0 - alpha / 2.0)
+    for ci, est in zip(wald_confidence_intervals(theta, fim, alpha), theta.values):
+        assert ci.se > 0
+        assert ci.lower == est - q * ci.se
+        assert ci.upper == est + q * ci.se
+
+
 def test_wald_alpha_one_zero_width():
     theta = ParamVector(np.array([1.0]), ("a",))
     fim = FimMatrix(np.eye(1), "score", 4, ("a",))

@@ -4,10 +4,14 @@ and every public one somewhere in the package, its tests or the benchmark.
 
 The project depends on no linter, so these AST scans are the suite's lint
 check.  A package ``__init__.py`` re-exports what it imports and is skipped
-by the import check.
+by the import check.  One check is not static: importing the package in a
+fresh interpreter must leave the heavy scipy subpackages unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import scorefim
@@ -93,6 +97,23 @@ def test_no_unreferenced_public_definitions():
     used = _mentions([SRC, ROOT / "tests", ROOT / "bench"], strings=True)
     dead = sorted(where for name, where in defined.items() if name not in used)
     assert not dead, f"unreferenced public definitions: {dead}"
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # the package needs numpy and scipy.special only; scipy.stats cost about
+    # 1 s of every CLI call, and scipy.optimize loads inside pk._profile_v's
+    # bounded-Brent fallback alone.  A fresh interpreter, since this test
+    # process may already hold either.
+    code = (
+        "import sys\n"
+        "import scorefim, scorefim.cli, scorefim.studies\n"
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == [], f"imported at package import: {proc.stdout.split()}"
 
 
 def test_only_run_study_writes_study_files():

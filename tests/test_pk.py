@@ -222,6 +222,43 @@ def test_conditional_score_two_route_agreement(pk, pk_data, pk_theta):
     assert np.max(np.abs(delta_mh - delta_via_oracle)) < 0.05 * scale
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_conditional_score_two_route_agreement_within_mc_se(pk, pk_data, pk_theta, seed):
+    # the same two routes, judged in Monte-Carlo standard errors: K chains
+    # per individual run side by side in one _mh_sweep call, and the spread
+    # between them gives the MH estimate's SE; the oracle's SE is the
+    # conditional score variance over its importance-sampling ESS
+    from scorefim.condoracle import _laplace_fit, conditional_moments
+    from scorefim.saem import _mh_sweep
+
+    K, burn_in, kept = 32, 500, 4000
+    sub = pk_data.subset(range(12))
+    mom = conditional_moments(pk, sub, pk_theta, n_draws=60_000, seed=seed)
+    cov = mom.escore_outer - np.einsum("ij,ik->ijk", mom.escore, mom.escore)
+    oracle_se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / mom.ess[:, None])
+
+    # every chain starts at its individual's conditional mode, on the main
+    # side of the flip-flop valley that a random walk cannot cross
+    z0 = pk.initial_latents(sub, pk_theta, substream(seed, 12345))
+    modes, _ = _laplace_fit(pk, sub, pk_theta, z0)
+    chains = pk_data.subset(list(range(12)) * K)
+    Z = np.tile(modes, (K, 1))
+    logf = pk.complete_loglik(chains, Z, pk_theta)
+    rng = substream(seed, 0)
+    scales = 0.3 * np.ones(3)
+    Z, logf, _ = _mh_sweep(pk, chains, Z, logf, pk_theta, scales, rng, burn_in)
+    acc_stats = np.zeros((chains.n, 7))
+    for _ in range(kept):
+        Z, logf, _ = _mh_sweep(pk, chains, Z, logf, pk_theta, scales, rng, 1)
+        acc_stats += pk.statistics(chains, Z)
+    delta = individual_delta(pk, chains, acc_stats / kept, pk_theta).reshape(K, sub.n, -1)
+    mh_se = delta.std(axis=0, ddof=1) / np.sqrt(K)
+    z = (delta.mean(axis=0) - mom.escore) / np.sqrt(mh_se**2 + oracle_se**2)
+    assert np.abs(z).max() < 5.0
+    # the SEs are small enough for the check to mean something
+    assert mh_se.max() < 0.02 * np.abs(mom.escore).max()
+
+
 def test_flip_flop_mirror_is_a_likelihood_symmetry(pk, pk_data):
     rng = substream(47, 0)
     Z = np.log([1.6, 1.8, 31.0]) + rng.normal(0, 0.5, size=(pk_data.n, 3))
