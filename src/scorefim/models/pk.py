@@ -385,43 +385,41 @@ class PkFixedVModel(LatentModel):
         return self.make_params([ka0, v0, cl0, spread[0], spread[2], sigma20])
 
     # --- weighted complete-data maximization (general-algorithm M-step) -----
-    def maximize_weighted(self, dataset, latents, weights, theta_init):
-        """argmax of sum_l w_l sum_i log f(y_i, z_i^l; theta).
+    def maximize_weighted(self, dataset, buffer, theta_init):
+        """argmax of sum_l w_l sum_i log f(y_i, z_i^l; theta) over the
+        entries l of a nonempty sample buffer (``maximize_q`` checks it).
 
         ka, Cl and their variances are closed-form in the weighted latent
         moments; V is a 1-D profile (``_profile_v``: a Gauss-Newton first
         step, then a safeguarded secant on the derivative of the weighted
         residual sum, with a bounded-Brent fallback) and sigma2 is
-        closed-form given V.  The profile (``_FusedProfile``) evaluates the
-        residual sum, its V-derivative and Gauss-Newton curvature over the
-        whole buffer through the prediction core; the profile of the last
-        M-step on this dataset hands its per-entry factors to the next one.
+        closed-form given V.  The profile (``_FusedProfile``) runs on the
+        entries' ``_profile_factors``, which the buffer computes once per
+        entry and keeps.
         """
-        W = float(np.sum(weights))
-        if W <= 0 or len(latents) == 0:
-            raise MStepFailure("empty or massless sample buffer")
-        wn = np.asarray(weights, dtype=float) / W
-        stack = np.stack(latents)  # (L, n, 2)
-        m1 = np.einsum("l,lic->c", wn, stack) / dataset.n
-        m2 = np.einsum("l,lic->c", wn, stack**2) / dataset.n
+        wn = buffer.weights / buffer.total_weight
+        m1 = np.einsum("l,lic->c", wn, buffer.latents) / dataset.n
+        m2 = np.einsum("l,lic->c", wn, buffer.latents**2) / dataset.n
         oms = np.maximum(m2 - m1**2, 1e-10)
 
-        Y, T, doses = _design_arrays(dataset)
-        last = dataset.memo("pk_fixed_v_profile", dict)
-        profile = _FusedProfile(Y, T, doses, latents, wn, previous=last.get("profile"))
-        last["profile"] = profile
-        V, rss_at_v = _profile_v(profile, float(theta_init.values[1]))
+        Y, T, D = _design_arrays(dataset)
+        factors = buffer.derived("profile_factors", dataset, lambda Z: _profile_factors(T, D, Z))
+        V, rss_at_v = _profile_v(_FusedProfile(Y, factors, wn), float(theta_init.values[1]))
         sigma2 = max(rss_at_v / float(dataset.n_obs().sum()), 1e-10)
-        return self.make_params(
-            [np.exp(m1[0]), V, np.exp(m1[1]), oms[0], oms[1], sigma2]
-        )
+        return self.make_params([np.exp(m1[0]), V, np.exp(m1[1]), oms[0], oms[1], sigma2])
 
 
 # buffer entries per pass of _FusedProfile: a block's (B, n, J) arrays take
 # about 1.3 kB per observation, so they stay in a 2 MiB L2 cache at the desk
 # (n J = 600) and paper (n J = 1000) designs
 _PROFILE_BLOCK = 16
-_FACTORS = ("KAT", "CLT", "DKAT")  # per-entry factors _FusedProfile keeps
+
+
+def _profile_factors(T, D, Z):
+    """(m, 3, n, J) V-independent factors ka t, Cl t and dose ka t of the
+    (m, n, 2) latent entries Z on the design's (n, J) times T and n doses D."""
+    kat = np.exp(Z[:, :, :1]) * T
+    return np.stack([kat, np.exp(Z[:, :, 1:]) * T, D[:, None] * kat], axis=1)
 
 
 class _FusedProfile:
@@ -429,65 +427,20 @@ class _FusedProfile:
 
         rss(V) = sum_l w_l sum_ij (y_ij - pred(t_ij; ka_il, V, Cl_il))^2
 
-    over stacked buffer entries l, through the prediction core ``_pk_core``.
+    through the prediction core ``_pk_core``, from the (L, 3, n, J)
+    ``_profile_factors`` of the buffer entries l and their weights W, in
+    blocks of _PROFILE_BLOCK entries so each block's temporaries stay in
+    cache.  The curvature 2 sum w (dpred/dV)^2 is _profile_v's first step."""
 
-    The V-independent factors of an entry (ka t, Cl t and dose ka t) are
-    computed once, when the entry joins the buffer:
-    ``previous``, the profile of the last M-step, hands over the rows of the
-    entries still in the buffer (matched by identity) and the rows of pruned
-    entries are dropped.  Kept rows come first, so ``W`` is permuted to match.
-    When only the oldest entries were pruned, the new rows are written behind
-    the kept ones in the previous profile's arrays (``store``, whose "end"
-    marks the rows written so far, so a second successor cannot overwrite a
-    first); otherwise the kept rows are gathered into new arrays with room
-    for a quarter more entries and one block.  The arrays never grow past
-    that slack on the live buffer.
-
-    An evaluation walks the stacks in blocks of _PROFILE_BLOCK entries so each
-    block's temporaries stay in cache.  Its third value, 2 sum w (dpred/dV)^2,
-    is the Gauss-Newton curvature that _profile_v takes its first step from.
-    """
-
-    def __init__(self, Y, T, D, latents, W, previous=None):
-        self.Y = Y
-        rows = {}
-        if previous is not None:
-            rows = {id(z): r for r, z in enumerate(previous.latents)}
-        reuse = [rows.get(id(z), -1) for z in latents]
-        order = [l for l, r in enumerate(reuse) if r >= 0]
-        kept = [reuse[l] for l in order]
-        m = len(order)
-        order += [l for l, r in enumerate(reuse) if r < 0]
-        self.latents = [latents[l] for l in order]  # holds them, so ids stay unique
-        self.W = np.asarray(W, dtype=float)[order]
-
-        L = len(order)
-        if (
-            m and previous.stop == previous.store["end"]
-            and kept == list(range(len(previous.W) - m, len(previous.W)))
-            and previous.stop + L - m <= len(previous.store["KAT"])
-        ):
-            self.store, start = previous.store, previous.stop - m
-        else:
-            size = L + L // 4 + _PROFILE_BLOCK
-            self.store = {k: np.empty((size,) + T.shape) for k in _FACTORS}
-            start = 0
-            if m:
-                for k in _FACTORS:
-                    np.take(getattr(previous, k), kept, axis=0, out=self.store[k][:m], mode="clip")
-        self.stop = self.store["end"] = start + L
-        self.KAT, self.CLT, self.DKAT = (self.store[k][start:self.stop] for k in _FACTORS)
-        if L > m:
-            Z = np.stack([latents[l] for l in order[m:]])
-            np.multiply(np.exp(Z[:, :, :1]), T, out=self.KAT[m:])
-            np.multiply(np.exp(Z[:, :, 1:]), T, out=self.CLT[m:])
-            np.multiply(D[:, None], self.KAT[m:], out=self.DKAT[m:])
+    def __init__(self, Y, factors, W):
+        self.Y, self.factors, self.W = Y, factors, W
 
     def __call__(self, V):
         rss = rdv = dvdv = 0.0
         for s in range(0, len(self.W), _PROFILE_BLOCK):
             b = slice(s, s + _PROFILE_BLOCK)
-            pred, dv = _pk_core(self.KAT[b], self.CLT[b], self.DKAT[b], V, dv=True)
+            F = self.factors[b]
+            pred, dv = _pk_core(F[:, 0], F[:, 1], F[:, 2], V, dv=True)
             resid = np.subtract(self.Y, pred, out=pred)
             w = self.W[b, None, None]
             wx = resid * w

@@ -3,16 +3,16 @@
 The functional objective Q_k(theta) = (1-gamma_k) Q_{k-1}(theta)
 + gamma_k sum_i log f(y_i, Z_i^k; theta) is represented exactly as a weighted
 buffer of latent configurations: after iteration k the surviving entry l holds
-weight gamma_l prod_{j=l+1..k} (1-gamma_j).  Entries below prune_epsilon are
-dropped with their mass recorded.  The per-individual score relaxations
-Delta_i^k = (1-gamma_k) Delta_i^{k-1} + gamma_k d/dtheta log f(y_i, Z_i^k;
-theta_{k-1}) deliver the score-based FIM at the end, using the same draws that
-feed the buffer.
+weight gamma_l prod_{j=l+1..k} (1-gamma_j).  Entries below prune_epsilon, and
+entries of weight 0, are dropped oldest first with their mass recorded.  The
+per-individual score relaxations Delta_i^k = (1-gamma_k) Delta_i^{k-1}
++ gamma_k d/dtheta log f(y_i, Z_i^k; theta_{k-1}) deliver the score-based FIM
+at the end, using the same draws that feed the buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,69 +30,107 @@ from .params import ParamVector
 from .saem import SaemConfig, StepSchedule, _SaemRun, step_size
 
 
-@dataclass(frozen=True)
 class WeightedSampleBuffer:
-    """Closed-form unrolling of the Q_k recursion.
+    """Closed-form unrolling of the Q_k recursion, as a FIFO: ``latents`` is
+    the (L, n, d) window [start, stop) of one array, oldest entry first, and
+    ``weights[l]`` the current mass of entry l.  Under every StepSchedule the
+    weights do not decrease from the oldest entry to the newest (after
+    burn-in (m+1)^a - 1 <= m^a for a <= 1; in burn-in each older entry carries
+    a factor 1 - burn_value < 1), so pruning drops a prefix and the window
+    slides.  Another prune (from an arbitrary gamma sequence) or an append to
+    a full array moves the kept rows to the front of a new array sized to the
+    live length plus slack, never to ``capacity``.  ``derived`` keeps
+    per-entry arrays beside them."""
 
-    ``latents[l]`` is the full latent configuration (n, d) of one retained
-    simulation step; ``weights[l]`` its current mass.
-    """
-
-    latents: tuple = ()
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    prune_epsilon: float = 1e-6
-    capacity: int = 500
-    discarded_mass: float = 0.0  # missing mass of the exact unrolling (decays)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "latents", tuple(self.latents))
-        if self.prune_epsilon < 0:
+    def __init__(self, prune_epsilon: float = 1e-6, capacity: int = 500):
+        if prune_epsilon < 0:
             raise ConfigError("prune_epsilon must be nonnegative")
-        if self.capacity < 1:
-            raise ConfigError("capacity must be positive")
+        self.prune_epsilon, self.capacity = prune_epsilon, capacity
+        self.weights = np.zeros(0)
+        self.discarded_mass = 0.0  # missing mass of the exact unrolling (decays)
+        self._rows, self._start, self._stop = np.zeros(0), 0, 0
+        self._dataset, self._derived = None, {}  # name -> (array like _rows, rows filled)
 
     def __len__(self):
-        return len(self.latents)
+        return self._stop - self._start
+
+    @property
+    def latents(self) -> np.ndarray:
+        return self._rows[self._start:self._stop]
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
+    def derived(self, name: str, dataset: Dataset, fill) -> np.ndarray:
+        """The (L, ...) per-entry array ``name`` of ``dataset``, aligned with
+        ``latents``.  ``fill`` maps an (m, n, d) stack of entries to their
+        (m, ...) rows; it runs once per entry, on the entries that joined
+        since the last call.  A call with another dataset drops every array."""
+        if dataset is not self._dataset:
+            self._dataset, self._derived = dataset, {}
+        rows, done = self._derived.get(name, (None, 0))
+        done = max(done, self._start)
+        if done < self._stop:
+            new = fill(self._rows[done:self._stop])
+            if rows is None:
+                rows = np.empty((len(self._rows),) + new.shape[1:])
+            rows[done:self._stop] = new
+            self._derived[name] = rows, self._stop
+        return rows[self._start:self._stop]
+
+    def _advance(self, keep: np.ndarray, z: np.ndarray, push: bool) -> None:
+        """Keep the live entries where ``keep`` holds, then append ``z`` if ``push``."""
+        kept = self._start + np.flatnonzero(keep)
+        gather = kept.size and kept[0] != self._stop - kept.size  # not only the newest
+        if gather or (push and self._stop == len(self._rows)):
+            self._relocate(kept, np.shape(z))
+        else:
+            self._start = self._stop - kept.size  # the oldest entries went: slide
+        if push:
+            self._rows[self._stop] = z
+            self._stop += 1
+
+    def _relocate(self, kept: np.ndarray, entry_shape: tuple) -> None:
+        """Move the rows ``kept`` (ascending) to the front of new arrays."""
+        size = len(kept) + len(kept) // 4 + 16  # a quarter more rows and 16 spare
+        old, self._rows = self._rows, np.empty((size,) + entry_shape)
+        if len(kept):  # the initial array is empty and 1-D
+            self._rows[:len(kept)] = old[kept]
+        for name, (rows, done) in self._derived.items():
+            filled = kept[:np.searchsorted(kept, done)]  # filled rows lead the window
+            moved = np.empty((size,) + rows.shape[1:])
+            moved[:len(filled)] = rows[filled]
+            self._derived[name] = moved, len(filled)
+        self._start, self._stop = 0, len(kept)
+
 
 def _relaxed_weights(weights: np.ndarray, gamma_k: float, prune_epsilon: float):
     """Existing weights scaled by (1-gamma) with the new draw's gamma appended
-    (none at gamma 0), and the mask of the entries pruning keeps."""
+    (none at gamma 0), and the mask of the entries pruning keeps: those of
+    positive weight at or above prune_epsilon."""
     weights = weights * (1.0 - gamma_k)
     if gamma_k > 0.0:
         weights = np.append(weights, gamma_k)
-    return weights, weights >= prune_epsilon
+    return weights, (weights >= prune_epsilon) & (weights > 0.0)
 
 
 def buffer_update(buffer: WeightedSampleBuffer, z_k: np.ndarray, gamma_k: float) -> WeightedSampleBuffer:
-    """Scale existing weights by (1-gamma), append the new draw at gamma, prune."""
+    """Scale existing weights by (1-gamma), append the new draw at gamma and
+    prune, in place; returns ``buffer``."""
     if not 0.0 <= gamma_k <= 1.0:
         raise DomainViolation("gamma must lie in [0, 1]", component="gamma")
     weights, keep = _relaxed_weights(buffer.weights, gamma_k, buffer.prune_epsilon)
-    latents = list(buffer.latents)
-    if gamma_k > 0.0:
-        latents.append(np.array(z_k, dtype=float))
-    dropped = float(weights[~keep].sum())
-    latents = tuple(l for l, k in zip(latents, keep) if k)
-    weights = weights[keep]
-    if len(latents) > buffer.capacity:
+    live = int(np.count_nonzero(keep))
+    if live > buffer.capacity:
         raise CapacityExceeded(
-            f"buffer holds {len(latents)} entries after pruning "
+            f"buffer holds {live} entries after pruning "
             f"(capacity {buffer.capacity}); raise prune_epsilon or capacity"
         )
-    return WeightedSampleBuffer(
-        latents=latents,
-        weights=weights,
-        prune_epsilon=buffer.prune_epsilon,
-        capacity=buffer.capacity,
-        discarded_mass=buffer.discarded_mass * (1.0 - gamma_k) + dropped,
-    )
+    buffer._advance(keep[:len(buffer)], z_k, push=gamma_k > 0.0 and keep[-1])
+    buffer.weights = weights[keep]
+    buffer.discarded_mass = buffer.discarded_mass * (1.0 - gamma_k) + float(weights[~keep].sum())
+    return buffer
 
 
 def max_buffer_length(schedule: StepSchedule, total_iterations: int, prune_epsilon: float) -> int:
@@ -111,8 +149,17 @@ def max_buffer_length(schedule: StepSchedule, total_iterations: int, prune_epsil
 
 def buffer_capacity(config: SaemConfig, prune_epsilon: float, capacity=None) -> int:
     """Buffer capacity for a run of ``config``: the length the buffer reaches,
-    or ``capacity`` when given; a capacity below that length is a ConfigError,
-    since the run would raise CapacityExceeded part way through."""
+    or ``capacity`` when given.  A capacity below that length is a
+    ConfigError, since the run would raise CapacityExceeded part way through,
+    and so is a negative prune_epsilon or a step at or below it: that step's
+    draw would be pruned as it enters, and the run would raise MStepFailure
+    on the empty buffer it left."""
+    gamma_min = min(step_size(k, config.schedule) for k in (1, config.total_iterations))
+    if not 0.0 <= prune_epsilon < gamma_min:
+        raise ConfigError(
+            f"prune_epsilon {prune_epsilon:g} must lie in [0, {gamma_min:.3g}), "
+            "below the smallest step of this schedule"
+        )
     need = max_buffer_length(config.schedule, config.total_iterations, prune_epsilon)
     if capacity is None:
         return need
@@ -153,20 +200,21 @@ def maximize_q(
     """argmax_theta Q(theta), warm-started at theta_init.
 
     Exponential-family models collapse to theta-hat of the weighted
-    statistics; any other model supplies ``maximize_weighted``, its own
+    statistics, computed once per entry and kept in the buffer; any other
+    model supplies ``maximize_weighted(dataset, buffer, theta_init)``, its own
     nested closed-form / 1-D machinery.
     """
     if len(buffer) == 0 or buffer.total_weight <= 0:
         raise MStepFailure("empty or massless sample buffer")
 
     if isinstance(model, ExpoFamilyModel):
-        wn = buffer.weights / buffer.total_weight
-        stats = sum(
-            w * model.statistics(dataset, Z) for w, Z in zip(wn, buffer.latents)
+        stats = buffer.derived(
+            "statistics", dataset, lambda Z: np.stack([model.statistics(dataset, z) for z in Z])
         )
-        theta = model.argmax_complete(dataset, stats)
+        wn = buffer.weights / buffer.total_weight
+        theta = model.argmax_complete(dataset, np.tensordot(wn, stats, axes=1))
     else:
-        theta = model.maximize_weighted(dataset, buffer.latents, buffer.weights, theta_init)
+        theta = model.maximize_weighted(dataset, buffer, theta_init)
     model.validate_params(theta)
 
     if check_gradient:
@@ -196,7 +244,6 @@ class GeneralSaemResult:
     theta: ParamVector
     fim: FimMatrix
     trajectories: dict
-    buffer: WeightedSampleBuffer
     deltas: np.ndarray
     diagnostics: dict
 
@@ -237,6 +284,5 @@ def run_general_saem(
         buffer_length=len(buffer), pruned_mass=buffer.discarded_mass
     )
     return GeneralSaemResult(
-        theta=theta, fim=fim, trajectories=trajectories,
-        buffer=buffer, deltas=deltas, diagnostics=diagnostics,
+        theta=theta, fim=fim, trajectories=trajectories, deltas=deltas, diagnostics=diagnostics,
     )

@@ -357,6 +357,18 @@ def test_coverage_subcommand_kind_check(tmp_path):
     assert main(["coverage", "--config", str(study)]) == 2
 
 
+def test_exit_code_2_on_a_step_below_prune_epsilon(tmp_path, capsys):
+    from scorefim.presets import preset_config
+
+    raw = preset_config("pk_fixed_v_coverage", desk=True)
+    raw["saem"].update(exponent=1.0, total_iterations=1200)
+    raw["prune_epsilon"] = 1e-3
+    study = _write(tmp_path / "study.json", raw)
+    assert main(["coverage", "--config", study, "--out", str(tmp_path / "o")]) == 2
+    assert "below the smallest step" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_2_on_short_buffer_capacity(tmp_path, capsys):
     from scorefim.presets import preset_config
 

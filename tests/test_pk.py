@@ -354,7 +354,7 @@ def _profile_by_records(ds, latents, w, V):
 
 
 def test_fused_profile_matches_the_per_record_route(pk_fixed_v_data):
-    from scorefim.models.pk import _PROFILE_BLOCK, _FusedProfile, _design_arrays
+    from scorefim.models.pk import _PROFILE_BLOCK, _FusedProfile, _design_arrays, _profile_factors
 
     ds = pk_fixed_v_data
     Y, T, doses = _design_arrays(ds)
@@ -362,45 +362,85 @@ def test_fused_profile_matches_the_per_record_route(pk_fixed_v_data):
     kat = np.exp(np.stack(latents)[:, :, 0])[:, :, None] * T
     x31 = kat - np.exp(np.stack(latents)[:, :, 1])[:, :, None] * T / 31.0
     assert (np.abs(x31) > 30).any() and (np.abs(x31) < 1e-4).any()
-    prof = _FusedProfile(Y, T, doses, latents, w)
+    prof = _FusedProfile(Y, _profile_factors(T, doses, np.stack(latents)), w)
     for V in (12.0, 31.0, 77.0):
         np.testing.assert_allclose(
             prof(V), _profile_by_records(ds, latents, w, V), rtol=1e-12
         )
 
 
-def test_fused_profile_keeps_rows_across_buffers(pk_fixed_v_data):
-    # rows handed over from the previous profile, appended in place or
-    # gathered into new stacks, evaluate exactly as a profile built afresh,
-    # and building a successor leaves its predecessor unchanged
-    from scorefim.models.pk import _FusedProfile, _design_arrays
+def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta):
+    # the factors the buffer keeps for the fixed-V profile are computed once
+    # per entry and survive slides, relocations, a gather that is not a
+    # suffix, gamma 0 and gamma 1; at every step they, and the profile built
+    # on them, equal a build from the live entries bit for bit, and a second
+    # dataset gets factors of its own
+    from scorefim import Dataset
+    from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_factors
+    from scorefim.saem_general import WeightedSampleBuffer, buffer_update
 
-    Y, T, doses = _design_arrays(pk_fixed_v_data)
-    latents, w = _buffer_stack(pk_fixed_v_data, 40, 50)
+    ds = pk_fixed_v_data
+    other = Dataset.from_arrays(ds.y, times=1.5 * ds.times, doses=2.0 * ds.doses)
+    latents, _ = _buffer_stack(ds, 60, 50)
+    # slides at gamma 0.3 fill the first array and relocate; the draw at
+    # gamma 0.0015 (step 27) is pruned inside the window at step 28; gamma 1
+    # (step 30) is followed by a decreasing schedule, as after burn-in
+    gammas = [0.3] * 25 + [0.0, 0.5, 0.0015, 0.5, 0.3, 1.0]
+    gammas += [m ** -0.6 for m in range(2, len(latents) - len(gammas) + 2)]
+    buf = WeightedSampleBuffer(prune_epsilon=1e-3)
+    live, w = [], []  # the entries the buffer should hold, oldest first
+    have, current = set(), None  # entries with factors, and for which dataset
+    bases, suffixes = [], []
+    for k, (g, Z) in enumerate(zip(gammas, latents)):
+        w = [wl * (1.0 - g) for wl in w] + ([g] if g > 0 else [])
+        live = live + [k] if g > 0 else live
+        keep = [wl >= 1e-3 for wl in w]
+        suffixes.append(keep == sorted(keep))
+        w = [wl for wl, kl in zip(w, keep) if kl]
+        live = [l for l, kl in zip(live, keep) if kl]
+        buf = buffer_update(buf, Z, g)
+        stack = np.stack([latents[l] for l in live])
+        np.testing.assert_array_equal(buf.latents, stack)
+        if not any(b is buf.latents.base for b in bases):
+            bases.append(buf.latents.base)
 
-    def check(entries, previous):
-        wn = w[: len(entries)] / w[: len(entries)].sum()
-        prof = _FusedProfile(Y, T, doses, entries, wn, previous=previous)
-        assert prof(29.0) == _FusedProfile(Y, T, doses, entries, wn)(29.0)
-        return prof
+        dataset = other if k in (40, 41) else ds
+        if dataset is not current:
+            have, current = set(), dataset
+        Y, T, doses = _design_arrays(dataset)
+        filled = []
 
-    first = check(latents[:20], None)
-    before = first(29.0)
-    grown = check(latents[:21], first)  # appended behind first's rows
-    assert grown.store is first.store and first(29.0) == before
-    sibling = check(latents[:20] + [latents[30]], first)  # first was extended already
-    assert sibling.store is not first.store and grown(29.0) == check(latents[:21], None)(29.0)
-    slid = check(latents[3:24], grown)  # oldest pruned, new appended
-    assert slid.store is grown.store
-    check(latents[4:10] + latents[11:25], slid)  # pruned inside: gathered afresh
+        def fill(Z):
+            filled.append(len(Z))
+            return _profile_factors(T, doses, Z)
+
+        factors = buf.derived("profile_factors", dataset, fill)
+        assert sum(filled) == len(set(live) - have)
+        have |= set(live)
+        fresh = _profile_factors(T, doses, stack)
+        np.testing.assert_array_equal(factors, fresh)
+        wn = buf.weights / buf.total_weight
+        assert _FusedProfile(Y, factors, wn)(29.0) == _FusedProfile(Y, fresh, wn)(29.0)
+        assert len(buf) > 1 or k in (0, 30)  # gamma 1 drops every older entry
+    assert suffixes.count(False) == 1 and not suffixes[28]  # the gather ran once
+    assert len(bases) >= 4  # the first array, two relocations and the gather
+    # the M-step on the kept factors equals one on a buffer that builds them
+    # all at once
+    replay = WeightedSampleBuffer(prune_epsilon=1e-3)
+    for g, Z in zip(gammas, latents):
+        replay = buffer_update(replay, Z, g)
+    np.testing.assert_array_equal(
+        pk_fixed_v.maximize_weighted(ds, buf, pk_fixed_v_theta).values,
+        pk_fixed_v.maximize_weighted(ds, replay, pk_fixed_v_theta).values,
+    )
 
 
 def test_profile_v_curvature_start_reaches_the_secant_minimum(pk_fixed_v_data):
-    from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_v
+    from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_factors, _profile_v
 
     Y, T, doses = _design_arrays(pk_fixed_v_data)
     latents, w = _buffer_stack(pk_fixed_v_data, 21, 51)
-    prof = _FusedProfile(Y, T, doses, latents, w)
+    prof = _FusedProfile(Y, _profile_factors(T, doses, np.stack(latents)), w)
 
     def probe_only(V):
         return prof(V)[:2] + (None,)
@@ -460,7 +500,7 @@ def test_ragged_design_matches_records_evaluated_alone(pk, pk_theta, pk_data, pk
     # records of 8 to 10 observations are padded to 10 with t = 0, y = 0;
     # every padded slot must add exactly nothing to any per-record sum
     from scorefim import Dataset, IndividualRecord
-    from scorefim.models.pk import _FusedProfile, _design_arrays
+    from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_factors
 
     ds = Dataset(tuple(
         IndividualRecord(y=r.y[: 10 - i % 3], times=r.times[: 10 - i % 3], dose=r.dose * (1 + i / 10))
@@ -484,10 +524,13 @@ def test_ragged_design_matches_records_evaluated_alone(pk, pk_theta, pk_data, pk
     check("complete_score", pk_fixed_v, Zv, pk_fixed_v_theta)
 
     latents, w = _buffer_stack(ds, 20, 53)
-    prof = _FusedProfile(Y, T, doses, latents, w)
+    stack = np.stack(latents)
+    prof = _FusedProfile(Y, _profile_factors(T, doses, stack), w)
+
+    def alone_profile(i):
+        Yi, Ti, Di = _design_arrays(alone[i])
+        return _FusedProfile(Yi, _profile_factors(Ti, Di, stack[:, i:i + 1]), w)
+
     for V in (12.0, 31.0, 77.0):
-        parts = [
-            _FusedProfile(*_design_arrays(one), [Z[i:i + 1] for Z in latents], w)(V)
-            for i, one in enumerate(alone)
-        ]
+        parts = [alone_profile(i)(V) for i in range(len(alone))]
         np.testing.assert_allclose(prof(V), np.sum(parts, axis=0), rtol=1e-12)

@@ -1,15 +1,19 @@
 """General (non-exponential) stochastic algorithm: buffer bookkeeping, the
 weighted M-step against grid/closed-form oracles, and the Delta recursions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scorefim import Design, simulate_dataset
-from scorefim.errors import CapacityExceeded, DomainViolation, MStepFailure
+from scorefim.errors import CapacityExceeded, ConfigError, DomainViolation, MStepFailure
 from scorefim.rng import substream
 from scorefim.saem import SaemConfig, StepSchedule, individual_delta, run_saem, step_size
 from scorefim.saem_general import (
     WeightedSampleBuffer,
+    _relaxed_weights,
+    buffer_capacity,
     buffer_gradient,
     buffer_objective,
     buffer_update,
@@ -86,6 +90,88 @@ def test_max_buffer_length_follows_the_buffer():
     assert max_buffer_length(paper, 2390, 1e-5) == 501
     assert max_buffer_length(paper, 3000, 1e-6) == 789
     assert max_buffer_length(StepSchedule(150, 0.95, 0.6), 400, 1e-5) == 176
+
+
+def test_zero_weight_entries_drop_at_prune_epsilon_zero():
+    # the gamma = 1 step after burn-in zeroes every older weight; at
+    # prune_epsilon 0 those entries must go too, not stay at weight 0
+    buf = WeightedSampleBuffer(prune_epsilon=0.0)
+    for v, g in [(1, 0.5), (2, 0.5), (3, 1.0), (4, 0.5)]:
+        buf = buffer_update(buf, _z(v), g)
+    assert [l[0, 0] for l in buf.latents] == [3.0, 4.0]
+    np.testing.assert_array_equal(buf.weights, [0.5, 0.5])
+    assert max_buffer_length(StepSchedule(150, 0.95, 0.6), 400, 0.0) == 250
+    assert max_buffer_length(StepSchedule(1000, 0.95, 0.6), 3000, 0.0) == 2000
+
+
+def test_buffer_capacity_rejects_a_step_at_or_below_prune_epsilon(lmm):
+    # after burn-in the step 1/(k - 5) falls below 1e-3 at k = 1006: that
+    # draw is pruned as it enters, the tied older weights with it, and the
+    # M-step finds the buffer empty
+    cfg = SaemConfig(schedule=StepSchedule(5, 0.95, 1.0), total_iterations=1010, seed=1)
+    with pytest.raises(ConfigError, match="below the smallest step"):
+        buffer_capacity(cfg, 1e-3)
+    ds = simulate_dataset(lmm, lmm.make_params([3.0, 2.0, 5.0]), Design(n=5, n_obs=4), seed=91)
+    with pytest.raises(MStepFailure, match="empty"):
+        run_general_saem(lmm, ds, cfg, prune_epsilon=1e-3, capacity=2000)
+    # the step exactly at prune_epsilon is rejected; one just above it is not
+    at = SaemConfig(schedule=StepSchedule(5, 0.95, 1.0), total_iterations=1005)
+    with pytest.raises(ConfigError):
+        buffer_capacity(at, 1e-3)
+    assert buffer_capacity(replace(at, total_iterations=1004), 1e-3) == 999
+    with pytest.raises(ConfigError):  # a burn-in step at or below it too
+        buffer_capacity(SaemConfig(schedule=StepSchedule(5, 0.01, 0.6), total_iterations=50), 0.01)
+
+
+def _prunes_oldest_first(schedule, total_iterations, prune_epsilon):
+    """Whether every prune mask over a run is a suffix: no kept entry is
+    older than a pruned one."""
+    weights = np.zeros(0)
+    for k in range(1, total_iterations + 1):
+        weights, keep = _relaxed_weights(weights, step_size(k, schedule), prune_epsilon)
+        if (np.diff(keep.astype(int)) < 0).any():
+            return False
+        weights = weights[keep]
+    return True
+
+
+def test_pruning_drops_the_oldest_entries_first():
+    # the weights never decrease from the oldest entry to the newest, so the
+    # buffer's window only slides; checked on every preset schedule, at desk
+    # and paper scale, and on a grid of schedules the parser accepts
+    from scorefim.presets import PRESETS, preset_config
+    from scorefim.studies import parse_study_config
+
+    runs = []
+    for name in PRESETS:
+        for desk in (False, True):
+            cfg = parse_study_config(preset_config(name, desk=desk))
+            if cfg.saem is not None:
+                runs.append((cfg.saem.schedule, cfg.saem.total_iterations, cfg.prune_epsilon))
+    assert len(runs) == 4
+    for burn_in in (0, 7, 60):
+        for burn_value in (0.3, 0.95, 1.0):
+            for exponent in (0.51, 0.6, 0.8, 1.0):
+                for eps in (0.0, 1e-6, 1e-3):
+                    cfg = SaemConfig(StepSchedule(burn_in, burn_value, exponent), total_iterations=400)
+                    try:
+                        buffer_capacity(cfg, eps)
+                    except ConfigError:
+                        continue
+                    runs.append((cfg.schedule, 400, eps))
+    assert len(runs) > 100
+    for schedule, total, eps in runs:
+        assert _prunes_oldest_first(schedule, total, eps), (schedule, total, eps)
+
+
+def test_buffer_memory_follows_the_live_length():
+    # the array behind the window is sized to the live entries plus slack,
+    # whatever the capacity
+    sched = StepSchedule(10, 0.95, 0.6)
+    buf = WeightedSampleBuffer(prune_epsilon=1e-3, capacity=10**9)
+    for k in range(1, 81):
+        buf = buffer_update(buf, _z(k), step_size(k, sched))
+        assert len(buf.latents.base) <= 1.25 * max_buffer_length(sched, k, 1e-3) + 17
 
 
 def test_buffer_rejects_bad_gamma():
@@ -284,3 +370,27 @@ def test_cross_algorithm_consistency(pk, pk_theta):
     d_core = np.diag(res_core.fim.entries)
     d_gen = np.diag(res_gen.fim.entries)
     assert np.max(np.abs(d_core - d_gen) / d_core) < 0.3
+
+
+def test_cross_algorithm_consistency_within_mc_se(pk, pk_theta):
+    # the same comparison calibrated by Monte Carlo error: on each of three
+    # datasets, 4 fits per engine on their own seeds give the SE of the gap
+    # between the engines' means, which must stay within 5 SEs for every
+    # theta entry and FIM diagonal entry (largest |z| 3.2 over datasets
+    # 90-97 when the test was written)
+    times = np.array([0.25, 0.5, 1, 2, 3.5, 5, 7, 9, 12, 24.0])
+    sched = StepSchedule(200, 0.95, 0.6)
+    for data_seed in (90, 91, 92):
+        ds = simulate_dataset(pk, pk_theta, Design(n=40, times=times, dose=320.0), seed=data_seed)
+        theta0 = pk.initial_theta(ds)
+        fits = []
+        for engine, offset in ((run_saem, 1), (run_general_saem, 1001)):
+            runs = [
+                engine(pk, ds, SaemConfig(schedule=sched, total_iterations=600, seed=offset + s), theta0=theta0)
+                for s in range(4)
+            ]
+            fits.append(np.array([np.r_[r.theta.values, np.diag(r.fim.entries)] for r in runs]))
+        core, gen = fits
+        se = np.sqrt(core.var(axis=0, ddof=1) / len(core) + gen.var(axis=0, ddof=1) / len(gen))
+        z = (core.mean(axis=0) - gen.mean(axis=0)) / se
+        assert np.abs(z).max() < 5.0, (data_seed, np.round(z, 2))

@@ -205,6 +205,23 @@ def test_fixed_v_capacity_checked_at_parse_time():
     assert parse_study_config(raw).capacity == 700
 
 
+def test_fixed_v_prune_epsilon_checked_against_the_steps_at_parse_time():
+    # at exponent 1 the desk schedule's last steps, 1/1001 to 1/1050, fall
+    # below prune_epsilon 1e-3: every replicate would empty its buffer at
+    # k = 1151, so the config fails before anything runs
+    raw = preset_config("pk_fixed_v_coverage", desk=True)
+    raw["saem"].update(exponent=1.0, total_iterations=1200)
+    raw["prune_epsilon"] = 1e-3
+    with pytest.raises(ConfigError, match=r"prune_epsilon 0.001 must lie in \[0, 0.000952\)"):
+        parse_study_config(raw)
+    raw["saem"]["total_iterations"] = 1149  # last step 1/999
+    assert parse_study_config(raw).capacity == 999
+    # a negative prune_epsilon parsed, and then every replicate failed
+    raw["prune_epsilon"] = -1e-6
+    with pytest.raises(ConfigError, match="must lie in"):
+        parse_study_config(raw)
+
+
 def test_pk_replication_threads_deterministic(tmp_path):
     # the chains and the oracle's individuals both fan out over the workers
     raw = preset_config("pk_replication", desk=True)
