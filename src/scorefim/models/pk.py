@@ -44,10 +44,12 @@ def _pk_core(kat, clt, dkat, V, dv=False):
 
     With P = (d ka t / V) exp(-min(ka t, u)), pred = P g(y) and
 
-        V dpred/dV = P u h - pred,   h = g'(y)                   where ka t < u,
-                                     h = (expm1(y) - y) / y^2    otherwise,
+        V dpred/dV = P (ka t g'(y) - exp(y))      where ka t < u,
+                   = P (u h - g(y)),   h = (expm1(y) - y) / y^2   otherwise,
 
-    the second being g(y) - g'(y).  Broadcasts over all arguments.
+    h being g(y) - g'(y).  Where ka t < u, y = ka t - u and y g' + g = exp(y)
+    turn u g' - g into the first form, whose terms do not cancel when
+    ka t << u.  Broadcasts over all arguments.
     """
     u = clt / V
     P = np.exp(-np.minimum(kat, u)) * dkat
@@ -73,8 +75,10 @@ def _pk_core(kat, clt, dkat, V, dv=False):
                 0.5 + ys / 3.0 + ys**2 / 8.0 + ys**3 / 30.0,
                 0.5 + ys / 6.0 + ys**2 / 24.0 + ys**3 / 120.0,
             )
-        h *= u
-        h -= g
+            y[small] = ys
+        h *= np.where(lo, kat, u)
+        with np.errstate(under="ignore"):  # exp(y) -> 0 is the exact limit
+            h -= np.where(lo, np.exp(y), g)
         h = h * P
         h /= V
     P *= g

@@ -116,6 +116,29 @@ def test_prediction_and_dv_sweep_matches_high_precision():
             assert dv == pytest.approx(float(dv_mp(t, ka, V, Cl)), rel=1e-10), (t, ka, V, Cl)
 
 
+def test_dv_keeps_its_digits_where_elimination_outpaces_absorption():
+    # where ka t < u = Cl t / V the form u g'(y) - g(y) cancels as ka t / u
+    # shrinks (7.2e-13 relative at the first case); ka t g'(y) - exp(y) does
+    # not.  Seeded cases from the sweep's ranges with u - ka t >= 1 whose
+    # derivative is a normal double
+    rng = np.random.default_rng(20192)
+    cases = [(24.0, 0.01, 31.0, 1550.0)]
+    while len(cases) < 60:
+        t, ka, V, Cl = (10.0 ** rng.uniform(lo, hi) for lo, hi in ((-2, 2), (-2, 2), (0, 3), (-1, 2)))
+        if Cl * t / V - ka * t >= 1.0:
+            cases.append((t, ka, V, Cl))
+    checked = 0
+    for t, ka, V, Cl in cases:
+        with mp.workdps(120):
+            h = mp.mpf("1e-40")
+            want = float((_pred_mp(320, t, ka, V + h, Cl) - _pred_mp(320, t, ka, V - h, Cl)) / (2 * h))
+        if abs(want) < 1e-290:
+            continue
+        checked += 1
+        assert _pred_dv(320.0, t, ka, V, Cl)[1] == pytest.approx(want, rel=2e-13, abs=0.0), (t, ka, V, Cl)
+    assert checked >= 40
+
+
 def test_validate_positive(pk, pk_fixed_v):
     with pytest.raises(DomainViolation) as err:
         validate_params(pk, pk.make_params([1.6, 31.0, 1.8, -0.4, 0.4, 0.4, 0.75]))
