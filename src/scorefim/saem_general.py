@@ -254,13 +254,16 @@ def run_general_saem(
     config: SaemConfig,
     theta0: ParamVector | None = None,
     prune_epsilon: float = 1e-6,
-    capacity: int = 500,
+    capacity: int | None = None,
 ) -> GeneralSaemResult:
     """General-algorithm driver: simulate, relax Q-buffer and Deltas, maximize.
 
     The same draws feed both the buffer and the Delta recursions; scores enter
-    at theta_{k-1}, the value used for the simulation step.
+    at theta_{k-1}, the value used for the simulation step.  ``capacity``
+    defaults to the length the buffer reaches (``buffer_capacity``).
     """
+    if capacity is None:
+        capacity = buffer_capacity(config, prune_epsilon)
     run = _SaemRun(model, dataset, config, theta0)
     theta = run.theta0
     deltas = np.zeros((dataset.n, model.p))

@@ -104,6 +104,17 @@ def test_zero_weight_entries_drop_at_prune_epsilon_zero():
     assert max_buffer_length(StepSchedule(1000, 0.95, 0.6), 3000, 0.0) == 2000
 
 
+def test_run_general_saem_defaults_its_capacity_to_the_buffer_length(lmm):
+    # the default schedule (burn-in 1000, K = 3000) reaches 789 entries at
+    # the default prune_epsilon 1e-6; a fixed default capacity of 500 raised
+    # CapacityExceeded at k = 1,948
+    ds = simulate_dataset(lmm, lmm.make_params([3.0, 2.0, 5.0]), Design(n=5, n_obs=4), seed=91)
+    assert buffer_capacity(SaemConfig(seed=1), 1e-6) == 789
+    res = run_general_saem(lmm, ds, SaemConfig(seed=1))
+    assert res.diagnostics["buffer_length"] == 789
+    assert np.isfinite(res.theta.values).all()
+
+
 def test_buffer_capacity_rejects_a_step_at_or_below_prune_epsilon(lmm):
     # after burn-in the step 1/(k - 5) falls below 1e-3 at k = 1006: that
     # draw is pruned as it enters, the tied older weights with it, and the
