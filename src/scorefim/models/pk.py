@@ -39,7 +39,7 @@ _LAT_NAMES = ("log_ka", "log_cl", "log_v")
 _SERIES = 1e-4
 
 
-def _pk_core(kat, clt, dkat, V, dv=False):
+def _pk_core(kat, clt, dkat, V, dv=False, scratch=None):
     """pred from the factors ka t, Cl t and d ka t, plus dpred/dV if ``dv``.
 
     With P = (d ka t / V) exp(-min(ka t, u)), pred = P g(y) and
@@ -49,24 +49,39 @@ def _pk_core(kat, clt, dkat, V, dv=False):
 
     h being g(y) - g'(y).  Where ka t < u, y = ka t - u and y g' + g = exp(y)
     turn u g' - g into the first form, whose terms do not cancel when
-    ka t << u.  Broadcasts over all arguments.
+    ka t << u.  Broadcasts over all arguments (with ``dv``, d ka t adds no
+    dimension to the others).  Each step writes in place: into arrays of its
+    own, or into ``scratch`` (``_core_scratch`` of the broadcast shape), which
+    a caller evaluating many blocks passes in to reuse; the results are then
+    views into it.
     """
-    u = clt / V
-    P = np.exp(-np.minimum(kat, u)) * dkat
-    P /= V
-    y = np.asarray(-np.abs(kat - u))
-    small = y > -_SERIES
-    ys = y[small] if small.any() else None
+    u, y, pred, em, g, t, small, lo = scratch or (None,) * 8
+    u = np.divide(clt, V, out=u)
+    P = np.asarray(np.minimum(kat, u, out=pred))  # 0-d, not a scalar, for scalar factors
+    np.negative(P, out=P)
+    np.exp(P, out=P)
+    pred = np.multiply(P, dkat, out=pred)
+    pred /= V  # P
+    y = np.asarray(np.subtract(kat, u, out=y))
+    np.abs(y, out=y)
+    np.negative(y, out=y)
+    small = np.greater(y, -_SERIES, out=small)
+    ys = y[small] if np.count_nonzero(small) else None
     if ys is not None:
         y[small] = -1.0  # keeps the divides finite; the series replaces them
-    em = np.expm1(y)
-    g = np.asarray(em / y)
+    em = np.asarray(np.expm1(y, out=em))
+    g = np.asarray(np.divide(em, y, out=g))
     if ys is not None:
         g[small] = 1.0 + ys / 2.0 + ys**2 / 6.0 + ys**3 / 24.0
     if dv:
-        lo = np.asarray(kat < u)
-        h = em - y
-        h = np.where(lo, y * em - h, h)  # y^2 g'(y) where ka t < u
+        lo = np.less(kat, u, out=lo)
+        flip = np.count_nonzero(lo) > 0  # else every masked step below is a no-op
+        h = em  # expm1(y) is read for the last time here
+        if flip:
+            t = np.asarray(np.multiply(y, em, out=t, where=lo))
+        h -= y
+        if flip:
+            np.subtract(t, h, out=h, where=lo)  # y^2 g'(y) where ka t < u
         h /= y
         h /= y
         if ys is not None:
@@ -76,13 +91,22 @@ def _pk_core(kat, clt, dkat, V, dv=False):
                 0.5 + ys / 6.0 + ys**2 / 24.0 + ys**3 / 120.0,
             )
             y[small] = ys
-        h *= np.where(lo, kat, u)
-        with np.errstate(under="ignore"):  # exp(y) -> 0 is the exact limit
-            h -= np.where(lo, np.exp(y), g)
-        h = h * P
-        h /= V
-    P *= g
-    return (P, h) if dv else P
+        t = np.asarray(np.multiply(h, u, out=t))
+        t -= g
+        if flip:
+            np.multiply(h, kat, out=h, where=lo)
+            with np.errstate(under="ignore"):  # exp(y) -> 0 is the exact limit
+                np.exp(y, out=y, where=lo)
+            np.subtract(h, y, out=t, where=lo)
+        t *= pred
+        t /= V
+    pred *= g
+    return (pred, t) if dv else pred
+
+
+def _core_scratch(shape):
+    """The six float and two boolean work arrays of ``_pk_core``."""
+    return [np.empty(shape) for _ in range(6)] + [np.empty(shape, dtype=bool) for _ in range(2)]
 
 
 def pk_prediction(dose, t, ka, V, Cl):
@@ -399,7 +423,10 @@ class PkFixedVModel(LatentModel):
         residual sum, with a bounded-Brent fallback) and sigma2 is
         closed-form given V.  The profile (``_FusedProfile``) runs on the
         entries' ``_profile_factors``, which the buffer computes once per
-        entry and keeps.
+        entry and keeps, and weights each entry's own residual sums.  The
+        buffer keeps those sums at the last V evaluated, which ``_profile_v``
+        returns and the next M-step starts from, so that M-step's first
+        evaluation computes the sums of the new entries only.
         """
         wn = buffer.weights / buffer.total_weight
         m1 = np.einsum("l,lic->c", wn, buffer.latents) / dataset.n
@@ -408,7 +435,10 @@ class PkFixedVModel(LatentModel):
 
         Y, T, D = _design_arrays(dataset)
         factors = buffer.derived("profile_factors", dataset, lambda Z: _profile_factors(T, D, Z))
-        V, rss_at_v = _profile_v(_FusedProfile(Y, factors, wn), float(theta_init.values[1]))
+        def keep(V, fill):
+            return buffer.derived("profile_sums", dataset, fill, key=V)
+
+        V, rss_at_v = _profile_v(_FusedProfile(Y, factors, wn, keep), float(theta_init.values[1]))
         sigma2 = max(rss_at_v / float(dataset.n_obs().sum()), 1e-10)
         return self.make_params([np.exp(m1[0]), V, np.exp(m1[1]), oms[0], oms[1], sigma2])
 
@@ -432,27 +462,46 @@ class _FusedProfile:
         rss(V) = sum_l w_l sum_ij (y_ij - pred(t_ij; ka_il, V, Cl_il))^2
 
     through the prediction core ``_pk_core``, from the (L, 3, n, J)
-    ``_profile_factors`` of the buffer entries l and their weights W, in
-    blocks of _PROFILE_BLOCK entries so each block's temporaries stay in
-    cache.  The curvature 2 sum w (dpred/dV)^2 is _profile_v's first step."""
+    ``_profile_factors`` of the buffer entries l and their weights W.  An
+    evaluation weights each entry's own sums S_l(V) = (sum r^2, sum r dpred/dV,
+    sum (dpred/dV)^2), which depend on neither W nor the other entries, so
+    ``keep(V, fill)`` may return the (L, 3) sums kept from an earlier call at
+    the same V and run ``fill`` only on the newest entries (the buffer keeps
+    them at the V the last M-step ended on, where the next one starts).
+    Without ``keep`` every entry's sums are computed.  The entries run in
+    blocks of _PROFILE_BLOCK through scratch arrays reused across blocks and
+    evaluations, so a block's work stays in cache.  The curvature
+    2 sum w (dpred/dV)^2 is _profile_v's first step."""
 
-    def __init__(self, Y, factors, W):
-        self.Y, self.factors, self.W = Y, factors, W
+    def __init__(self, Y, factors, W, keep=None):
+        self.Y, self.factors, self.W, self.keep = Y, factors, W, keep
+        self._scratch = _core_scratch((min(_PROFILE_BLOCK, len(W)),) + Y.shape)
 
     def __call__(self, V):
-        rss = rdv = dvdv = 0.0
-        for s in range(0, len(self.W), _PROFILE_BLOCK):
-            b = slice(s, s + _PROFILE_BLOCK)
-            F = self.factors[b]
-            pred, dv = _pk_core(F[:, 0], F[:, 1], F[:, 2], V, dv=True)
-            resid = np.subtract(self.Y, pred, out=pred)
-            w = self.W[b, None, None]
-            wx = resid * w
-            rss += np.vdot(wx, resid)
-            rdv += np.vdot(wx, dv)
-            np.multiply(dv, w, out=wx)
-            dvdv += np.vdot(wx, dv)
+        def fill(Z):  # the newest len(Z) entries of the window
+            return self._sums(self.factors[len(self.factors) - len(Z):], V)
+
+        S = fill(self.factors) if self.keep is None else self.keep(V, fill)
+        # summed entry by entry in window order, so kept sums give the bits
+        # fresh ones do wherever they are stored
+        rss, rdv, dvdv = (S * self.W[:, None]).sum(axis=0)
         return float(rss), float(-2.0 * rdv), float(2.0 * dvdv)
+
+    def _sums(self, F, V):
+        """(m, 3) per-entry sums S_l(V) of the (m, 3, n, J) factors F."""
+        S = np.empty((len(F), 3))
+        for s in range(0, len(F), _PROFILE_BLOCK):
+            b = F[s:s + _PROFILE_BLOCK]
+            m = len(b)
+            scratch = [a[:m] for a in self._scratch]
+            pred, dv = _pk_core(b[:, 0], b[:, 1], b[:, 2], V, dv=True, scratch=scratch)
+            resid = np.subtract(self.Y, pred, out=pred).reshape(m, -1)
+            dv = dv.reshape(m, -1)
+            # row by row, so an entry's sums do not depend on its block
+            S[s:s + m, 0] = np.vecdot(resid, resid)
+            S[s:s + m, 1] = np.vecdot(resid, dv)
+            S[s:s + m, 2] = np.vecdot(dv, dv)
+        return S
 
 
 def _profile_v(evaluate, V0, max_iter=40):

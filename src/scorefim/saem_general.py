@@ -49,7 +49,7 @@ class WeightedSampleBuffer:
         self.weights = np.zeros(0)
         self.discarded_mass = 0.0  # missing mass of the exact unrolling (decays)
         self._rows, self._start, self._stop = np.zeros(0), 0, 0
-        self._dataset, self._derived = None, {}  # name -> (array like _rows, rows filled)
+        self._dataset, self._derived = None, {}  # name -> (array like _rows, rows filled, key)
 
     def __len__(self):
         return self._stop - self._start
@@ -62,21 +62,24 @@ class WeightedSampleBuffer:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def derived(self, name: str, dataset: Dataset, fill) -> np.ndarray:
+    def derived(self, name: str, dataset: Dataset, fill, key=None) -> np.ndarray:
         """The (L, ...) per-entry array ``name`` of ``dataset``, aligned with
         ``latents``.  ``fill`` maps an (m, n, d) stack of entries to their
-        (m, ...) rows; it runs once per entry, on the entries that joined
-        since the last call.  A call with another dataset drops every array."""
+        (m, ...) rows; it runs on the entries that joined since the last call,
+        which are always the newest m of the window, so each entry is filled
+        once.  A call with another ``key`` (say the point the rows are
+        evaluated at) fills the whole window again, and a call with another
+        dataset drops every array."""
         if dataset is not self._dataset:
             self._dataset, self._derived = dataset, {}
-        rows, done = self._derived.get(name, (None, 0))
-        done = max(done, self._start)
+        rows, done, kept_key = self._derived.get(name, (None, 0, key))
+        done = max(done, self._start) if kept_key == key else self._start
         if done < self._stop:
             new = fill(self._rows[done:self._stop])
             if rows is None:
                 rows = np.empty((len(self._rows),) + new.shape[1:])
             rows[done:self._stop] = new
-            self._derived[name] = rows, self._stop
+            self._derived[name] = rows, self._stop, key
         return rows[self._start:self._stop]
 
     def _advance(self, keep: np.ndarray, z: np.ndarray, push: bool) -> None:
@@ -97,11 +100,11 @@ class WeightedSampleBuffer:
         old, self._rows = self._rows, np.empty((size,) + entry_shape)
         if len(kept):  # the initial array is empty and 1-D
             self._rows[:len(kept)] = old[kept]
-        for name, (rows, done) in self._derived.items():
+        for name, (rows, done, key) in self._derived.items():
             filled = kept[:np.searchsorted(kept, done)]  # filled rows lead the window
             moved = np.empty((size,) + rows.shape[1:])
             moved[:len(filled)] = rows[filled]
-            self._derived[name] = moved, len(filled)
+            self._derived[name] = moved, len(filled), key
         self._start, self._stop = 0, len(kept)
 
 

@@ -124,18 +124,22 @@ def test_dv_keeps_its_digits_where_elimination_outpaces_absorption():
     rng = np.random.default_rng(20192)
     cases = [(24.0, 0.01, 31.0, 1550.0)]
     while len(cases) < 60:
-        t, ka, V, Cl = (10.0 ** rng.uniform(lo, hi) for lo, hi in ((-2, 2), (-2, 2), (0, 3), (-1, 2)))
+        t, ka, V, Cl = (
+            10.0 ** rng.uniform(lo, hi) for lo, hi in ((-2, 2), (-2, 2), (0, 3), (-1, 2))
+        )
         if Cl * t / V - ka * t >= 1.0:
             cases.append((t, ka, V, Cl))
     checked = 0
     for t, ka, V, Cl in cases:
         with mp.workdps(120):
             h = mp.mpf("1e-40")
-            want = float((_pred_mp(320, t, ka, V + h, Cl) - _pred_mp(320, t, ka, V - h, Cl)) / (2 * h))
+            diff = _pred_mp(320, t, ka, V + h, Cl) - _pred_mp(320, t, ka, V - h, Cl)
+            want = float(diff / (2 * h))
         if abs(want) < 1e-290:
             continue
         checked += 1
-        assert _pred_dv(320.0, t, ka, V, Cl)[1] == pytest.approx(want, rel=2e-13, abs=0.0), (t, ka, V, Cl)
+        got = _pred_dv(320.0, t, ka, V, Cl)[1]
+        assert got == pytest.approx(want, rel=2e-13, abs=0.0), (t, ka, V, Cl)
     assert checked >= 40
 
 
@@ -394,10 +398,10 @@ def test_fused_profile_matches_the_per_record_route(pk_fixed_v_data):
 
 def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta):
     # the factors the buffer keeps for the fixed-V profile are computed once
-    # per entry and survive slides, relocations, a gather that is not a
-    # suffix, gamma 0 and gamma 1; at every step they, and the profile built
-    # on them, equal a build from the live entries bit for bit, and a second
-    # dataset gets factors of its own
+    # per entry, and the per-entry sums once per entry and V; both survive
+    # slides, relocations, a gather that is not a suffix, gamma 0 and gamma 1.
+    # At every step they, and the profile built on them, equal a build from
+    # the live entries bit for bit, and a second dataset gets its own
     from scorefim import Dataset
     from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_factors
     from scorefim.saem_general import WeightedSampleBuffer, buffer_update
@@ -413,6 +417,7 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
     buf = WeightedSampleBuffer(prune_epsilon=1e-3)
     live, w = [], []  # the entries the buffer should hold, oldest first
     have, current = set(), None  # entries with factors, and for which dataset
+    summed, key = set(), None  # entries with sums, and at which V
     bases, suffixes = [], []
     for k, (g, Z) in enumerate(zip(gammas, latents)):
         w = [wl * (1.0 - g) for wl in w] + ([g] if g > 0 else [])
@@ -429,7 +434,7 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
 
         dataset = other if k in (40, 41) else ds
         if dataset is not current:
-            have, current = set(), dataset
+            have, current, summed = set(), dataset, set()
         Y, T, doses = _design_arrays(dataset)
         filled = []
 
@@ -443,12 +448,29 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
         fresh = _profile_factors(T, doses, stack)
         np.testing.assert_array_equal(factors, fresh)
         wn = buf.weights / buf.total_weight
-        assert _FusedProfile(Y, factors, wn)(29.0) == _FusedProfile(Y, fresh, wn)(29.0)
+
+        # as an M-step: a first evaluation at the V the last one ended on,
+        # which sums only the entries that joined since, then another V
+        def keep_sums(V, fill):
+            def counted(Z):
+                filled.append(len(Z))
+                return fill(Z)
+
+            return buf.derived("profile_sums", dataset, counted, key=V)
+
+        cached = _FusedProfile(Y, factors, wn, keep=keep_sums)
+        for V in (key if key is not None else 29.0, 29.0 + k % 3):
+            filled.clear()
+            assert cached(V) == _FusedProfile(Y, fresh, wn)(V)
+            if V != key:
+                summed, key = set(), V
+            assert sum(filled) == len(set(live) - summed)
+            summed |= set(live)
         assert len(buf) > 1 or k in (0, 30)  # gamma 1 drops every older entry
     assert suffixes.count(False) == 1 and not suffixes[28]  # the gather ran once
     assert len(bases) >= 4  # the first array, two relocations and the gather
-    # the M-step on the kept factors equals one on a buffer that builds them
-    # all at once
+    # the M-step on the kept factors and sums equals one on a buffer that
+    # builds them all at once
     replay = WeightedSampleBuffer(prune_epsilon=1e-3)
     for g, Z in zip(gammas, latents):
         replay = buffer_update(replay, Z, g)
@@ -456,6 +478,118 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
         pk_fixed_v.maximize_weighted(ds, buf, pk_fixed_v_theta).values,
         pk_fixed_v.maximize_weighted(ds, replay, pk_fixed_v_theta).values,
     )
+
+
+def test_each_mstep_sums_only_the_new_entries_at_its_start(
+    pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta, monkeypatch
+):
+    # the profile ends every M-step on the V it returns, and the next M-step
+    # starts there: its first evaluation sums the one entry that joined, every
+    # later evaluation the whole window, and V equals a profile that sums
+    # every entry afresh bit for bit
+    from scorefim.models import pk
+    from scorefim.saem_general import WeightedSampleBuffer, buffer_update
+
+    sizes, points = [], []
+    sums, call = pk._FusedProfile._sums, pk._FusedProfile.__call__
+
+    def counted_sums(self, F, V):
+        sizes.append(len(F))
+        return sums(self, F, V)
+
+    def counted_call(self, V):
+        points.append(V)
+        return call(self, V)
+
+    monkeypatch.setattr(pk._FusedProfile, "_sums", counted_sums)
+    monkeypatch.setattr(pk._FusedProfile, "__call__", counted_call)
+    ds = pk_fixed_v_data
+    Y, T, doses = pk._design_arrays(ds)
+    latents, _ = _buffer_stack(ds, 30, 54)
+    buf, theta, longer = WeightedSampleBuffer(prune_epsilon=1e-3), pk_fixed_v_theta, 0
+    for k, Z in enumerate(latents):
+        buf = buffer_update(buf, Z, 0.3)
+        sizes.clear(), points.clear()
+        V0 = float(theta.values[1])
+        theta = pk_fixed_v.maximize_weighted(ds, buf, theta)
+        assert points[0] == V0 and points[-1] == theta.values[1]
+        assert sizes == [len(buf) if k == 0 else 1] + [len(buf)] * (len(points) - 1)
+        wn = buf.weights / buf.total_weight
+        fresh = pk._FusedProfile(Y, pk._profile_factors(T, doses, buf.latents), wn)
+        assert pk._profile_v(fresh, V0)[0] == theta.values[1]
+        longer += len(points) > 2
+    assert len(buf) > 10 and longer > 10
+
+
+def test_pk_core_in_scratch_arrays_matches_its_own_arrays():
+    # the profile runs the kernel in scratch arrays reused across blocks;
+    # pred and dpred/dV must equal a call that allocates its own, bit for bit,
+    # in both branches (ka t < u and not), the series region around
+    # V ka = Cl, t = 0 padding of ragged records, and after the scratch held
+    # another block
+    from scorefim.models.pk import _core_scratch
+
+    rng = substream(55, 0)
+    T = np.tile([0.25, 0.5, 1.0, 2.0, 3.5, 5.0, 7.0, 9.0, 12.0, 24.0], (30, 1))
+    T[::4, 7:] = 0.0  # ragged records, padded with t = 0
+    blocks = []
+    for _ in range(3):
+        ka = np.exp(rng.normal(0.0, 1.5, (16, 30, 1)))
+        cl = np.exp(rng.normal(0.6, 1.5, (16, 30, 1)))
+        cl[:, :5] = ka[:, :5] * 31.0 * (1.0 + rng.normal(0.0, 1e-6, (16, 5, 1)))  # |y| < 1e-4
+        kat = ka * T
+        blocks.append((kat, cl * T, 320.0 * kat))
+    kat, clt, _ = blocks[0]
+    y = -np.abs(kat - clt / 31.0)
+    assert (kat < clt / 31.0).any() and (kat > clt / 31.0).any()
+    assert ((y > -1e-4) & (T > 0)).any() and (T == 0).any()
+    scratch = _core_scratch(kat.shape)
+    for args in blocks + blocks[:1]:
+        for dv in (False, True):
+            got = _pk_core(*args, 31.0, dv=dv, scratch=scratch)
+            want = _pk_core(*args, 31.0, dv=dv)
+            for a, b in zip(got if dv else (got,), want if dv else (want,)):
+                np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(want, scratch[2])
+    pred, dv = _pk_core(*blocks[0], 31.0, dv=True)
+    assert (pred[:, T == 0] == 0.0).all() and (dv[:, T == 0] == 0.0).all()
+
+
+def test_profile_v_returns_the_last_v_it_evaluated():
+    # the buffer keeps the entries' sums at the last V evaluated, and the
+    # next M-step starts at the V returned: they must be one V, on the early
+    # return, the secant, its midpoint step and the Brent fallback alike
+    from scorefim.models.pk import _profile_v
+
+    def traced(f, grad, curv=None):
+        calls = []
+
+        def evaluate(V):
+            calls.append((V, f(V)))
+            return f(V), grad(V), None if curv is None else curv(V)
+
+        return evaluate, calls
+
+    cases = {
+        "early": (lambda V: (V - 30.0) ** 2, lambda V: 0.0, None, 30.0),
+        "gauss-newton": (lambda V: (V - 30.0) ** 2, lambda V: 2.0 * (V - 30.0), lambda V: 2.0, 40.0),
+        "secant": (
+            lambda V: np.cosh(V / 10.0 - 3.0), lambda V: np.sinh(V / 10.0 - 3.0) / 10.0, None, 38.0
+        ),
+        "midpoint": (lambda V: np.log(np.cosh(V - 30.0)), lambda V: np.tanh(V - 30.0), None, 40.0),
+        # a derivative that never changes sign leaves the secant stalled
+        "brent": (lambda V: (V - 30.0) ** 2, lambda V: 1.0, None, 40.0),
+    }
+    for name, (f, grad, curv, V0) in cases.items():
+        evaluate, calls = traced(f, grad, curv)
+        V, fV = _profile_v(evaluate, V0)
+        assert (V, fV) == calls[-1], name
+        Vs = [c[0] for c in calls]
+        assert len(calls) == 1 if name == "early" else len(calls) > 1, name
+        if name == "midpoint":
+            assert any(Vs[i] == 0.5 * (Vs[i - 1] + Vs[i - 2]) for i in range(2, len(Vs)))
+        if name == "brent":
+            assert V == pytest.approx(30.0, rel=1e-6) and len(calls) > 3
 
 
 def test_profile_v_curvature_start_reaches_the_secant_minimum(pk_fixed_v_data):
