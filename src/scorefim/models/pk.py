@@ -435,6 +435,7 @@ class PkFixedVModel(LatentModel):
 
         Y, T, D = _design_arrays(dataset)
         factors = buffer.derived("profile_factors", dataset, lambda Z: _profile_factors(T, D, Z))
+
         def keep(V, fill):
             return buffer.derived("profile_sums", dataset, fill, key=V)
 
