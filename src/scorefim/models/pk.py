@@ -75,13 +75,10 @@ def _pk_core(kat, clt, dkat, V, dv=False, scratch=None):
         g[small] = 1.0 + ys / 2.0 + ys**2 / 6.0 + ys**3 / 24.0
     if dv:
         lo = np.less(kat, u, out=lo)
-        flip = np.count_nonzero(lo) > 0  # else every masked step below is a no-op
         h = em  # expm1(y) is read for the last time here
-        if flip:
-            t = np.asarray(np.multiply(y, em, out=t, where=lo))
+        t = np.asarray(np.multiply(y, em, out=t, where=lo))
         h -= y
-        if flip:
-            np.subtract(t, h, out=h, where=lo)  # y^2 g'(y) where ka t < u
+        np.subtract(t, h, out=h, where=lo)  # y^2 g'(y) where ka t < u
         h /= y
         h /= y
         if ys is not None:
@@ -93,11 +90,10 @@ def _pk_core(kat, clt, dkat, V, dv=False, scratch=None):
             y[small] = ys
         t = np.asarray(np.multiply(h, u, out=t))
         t -= g
-        if flip:
-            np.multiply(h, kat, out=h, where=lo)
-            with np.errstate(under="ignore"):  # exp(y) -> 0 is the exact limit
-                np.exp(y, out=y, where=lo)
-            np.subtract(h, y, out=t, where=lo)
+        np.multiply(h, kat, out=h, where=lo)
+        with np.errstate(under="ignore"):  # exp(y) -> 0 is the exact limit
+            np.exp(y, out=y, where=lo)
+        np.subtract(h, y, out=t, where=lo)
         t *= pred
         t /= V
     pred *= g

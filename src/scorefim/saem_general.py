@@ -263,10 +263,11 @@ def run_general_saem(
 
     The same draws feed both the buffer and the Delta recursions; scores enter
     at theta_{k-1}, the value used for the simulation step.  ``capacity``
-    defaults to the length the buffer reaches (``buffer_capacity``).
+    defaults to the length the buffer reaches; a capacity below it, or a
+    prune_epsilon a step can fall to, is a ConfigError before the first
+    iteration (``buffer_capacity``).
     """
-    if capacity is None:
-        capacity = buffer_capacity(config, prune_epsilon)
+    capacity = buffer_capacity(config, prune_epsilon, capacity)
     run = _SaemRun(model, dataset, config, theta0)
     theta = run.theta0
     deltas = np.zeros((dataset.n, model.p))

@@ -525,8 +525,8 @@ def test_pk_core_in_scratch_arrays_matches_its_own_arrays():
     # the profile runs the kernel in scratch arrays reused across blocks;
     # pred and dpred/dV must equal a call that allocates its own, bit for bit,
     # in both branches (ka t < u and not), the series region around
-    # V ka = Cl, t = 0 padding of ragged records, and after the scratch held
-    # another block
+    # V ka = Cl, t = 0 padding of ragged records, a block with no ka t < u,
+    # and after the scratch held another block
     from scorefim.models.pk import _core_scratch
 
     rng = substream(55, 0)
@@ -543,8 +543,11 @@ def test_pk_core_in_scratch_arrays_matches_its_own_arrays():
     y = -np.abs(kat - clt / 31.0)
     assert (kat < clt / 31.0).any() and (kat > clt / 31.0).any()
     assert ((y > -1e-4) & (T > 0)).any() and (T == 0).any()
+    fast = 10.0 * cl / 31.0 * T  # ka = 10 Cl / V: ka t >= u everywhere
+    absorbed = (fast, cl * T, 320.0 * fast)
+    assert not (fast < cl * T / 31.0).any()
     scratch = _core_scratch(kat.shape)
-    for args in blocks + blocks[:1]:
+    for args in blocks + [absorbed] + blocks[:1]:
         for dv in (False, True):
             got = _pk_core(*args, 31.0, dv=dv, scratch=scratch)
             want = _pk_core(*args, 31.0, dv=dv)

@@ -112,18 +112,21 @@ def test_run_general_saem_defaults_its_capacity_to_the_buffer_length(lmm):
     assert buffer_capacity(SaemConfig(seed=1), 1e-6) == 789
     res = run_general_saem(lmm, ds, SaemConfig(seed=1))
     assert res.diagnostics["buffer_length"] == 789
+    # a capacity given below that length is refused before the first iteration
+    with pytest.raises(ConfigError, match="capacity 788 is below the 789 entries"):
+        run_general_saem(lmm, ds, SaemConfig(seed=1), capacity=788)
     assert np.isfinite(res.theta.values).all()
 
 
 def test_buffer_capacity_rejects_a_step_at_or_below_prune_epsilon(lmm):
     # after burn-in the step 1/(k - 5) falls below 1e-3 at k = 1006: that
-    # draw is pruned as it enters, the tied older weights with it, and the
-    # M-step finds the buffer empty
+    # draw would be pruned as it enters, the tied older weights with it, and
+    # the M-step would find the buffer empty, so the run refuses to start
     cfg = SaemConfig(schedule=StepSchedule(5, 0.95, 1.0), total_iterations=1010, seed=1)
     with pytest.raises(ConfigError, match="below the smallest step"):
         buffer_capacity(cfg, 1e-3)
     ds = simulate_dataset(lmm, lmm.make_params([3.0, 2.0, 5.0]), Design(n=5, n_obs=4), seed=91)
-    with pytest.raises(MStepFailure, match="empty"):
+    with pytest.raises(ConfigError, match="below the smallest step"):
         run_general_saem(lmm, ds, cfg, prune_epsilon=1e-3, capacity=2000)
     # the step exactly at prune_epsilon is rejected; one just above it is not
     at = SaemConfig(schedule=StepSchedule(5, 0.95, 1.0), total_iterations=1005)
