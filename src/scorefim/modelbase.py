@@ -45,7 +45,9 @@ class LatentModel(abc.ABC):
     # --- complete-data ingredients ---------------------------------------
     @abc.abstractmethod
     def complete_loglik(self, dataset: Dataset, Z: np.ndarray, theta: ParamVector) -> np.ndarray:
-        """log f(y_i, z_i; theta) per individual, shape (n,)."""
+        """log f(y_i, z_i; theta) per individual, shape (n,): a fresh array,
+        finite or -inf.  A row whose value would not be finite (a latent far
+        enough out to overflow) reads -inf, which the MH kernel rejects."""
 
     @abc.abstractmethod
     def complete_score(self, dataset: Dataset, Z: np.ndarray, theta: ParamVector) -> np.ndarray:

@@ -125,31 +125,68 @@ def _design_arrays(dataset: Dataset):
 def _rss_per_individual(dataset, Z, V_fixed=None):
     """Residual sum of squares per individual at latent log-parameters Z.
 
-    The dataset keeps the last result with a copy of its Z and V_fixed; a
-    call at equal values returns that result, read-only.  An SAEM iteration
-    asks for the same sums several times (statistics, then the Louis score
-    and Hessian, then the next MH target refresh), and so does the oracle
-    (weights, score and Hessian at one set of draws).
+    The dataset keeps the last result under the bytes of Z and V_fixed; a
+    call with the same bits returns that result, read-only.  An SAEM
+    iteration asks for the same sums several times (statistics, then the
+    Louis score and Hessian, then the next MH target refresh), and so does
+    the oracle (weights, score and Hessian at one set of draws).
     """
     last = dataset.memo("pk_rss_last", dict)
-    prev = last.get("Z")
-    if (
-        prev is not None and last["V_fixed"] == V_fixed
-        and prev.shape == Z.shape and (prev == Z).all()
-    ):
+    key = (Z.shape, Z.tobytes(), V_fixed)
+    if last.get("key") == key:
         return last["rss"]
     Y, T, doses = _design_arrays(dataset)
     # a latent far enough out to overflow exp leaves its row's sum non-finite,
     # which complete_loglik reads as -inf: no warning is due
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ka = np.exp(Z[:, 0])
-        cl = np.exp(Z[:, 1])
-        v = np.full(dataset.n, V_fixed) if V_fixed is not None else np.exp(Z[:, 2])
-        pred = pk_prediction(doses[:, None], T, ka[:, None], v[:, None], cl[:, None])
-        rss = ((Y - pred) ** 2).sum(axis=1)
+        E = np.exp(Z)  # columns (ka, Cl, V)
+        v = E[:, 2:] if V_fixed is None else V_fixed
+        pred = pk_prediction(doses[:, None], T, E[:, :1], v, E[:, 1:2])
+        # a fresh array, not pred: a column-major design makes pred
+        # column-major, and a row sum there adds in another order
+        resid = Y - pred
+        rss = np.add.reduce(np.square(resid, out=resid), axis=1)
     rss.setflags(write=False)
-    last.update(Z=np.array(Z, dtype=float), V_fixed=V_fixed, rss=rss)
+    last.update(key=key, rss=rss)
     return rss
+
+
+def _loglik_terms(dataset, theta, pop, om):
+    """The theta-only terms of complete_loglik: log pops, the prior constant
+    -(log 2 pi + log omega2)/2 and 2 omega2 per latent coordinate, the
+    observation constant J (log 2 pi + log sigma2)/2 per record, and
+    2 sigma2.  ``pop`` and ``om`` index the coordinates' population values
+    and variances in theta, whose last value is sigma2.  The dataset keeps
+    the terms of the last theta, so an MH sweep's proposals at one theta
+    build them once.
+    """
+    last = dataset.memo("pk_loglik_terms", dict)
+    v = theta.values
+    key = v.tobytes()  # the two PK models' thetas differ in length
+    if last.get("key") != key:
+        oms, sigma2 = v[list(om)], v[-1]
+        J = dataset.n_obs().astype(float)
+        last.update(key=key, terms=(
+            np.log(v[list(pop)]), -0.5 * (_LOG2PI + np.log(oms)), 2.0 * oms,
+            0.5 * J * (_LOG2PI + np.log(sigma2)), 2.0 * sigma2,
+        ))
+    return last["terms"]
+
+
+def _complete_loglik(Z, terms, rss):
+    """log f(y_i, z_i; theta) from the latents, ``_loglik_terms`` and the
+    residual sums: the prior of each coordinate, summed over coordinates,
+    less the observation constant and rss / (2 sigma2).  A row that is not
+    finite (a latent overflowing exp) reads -inf."""
+    log_pops, prior_const, two_om, obs_const, two_sigma2 = terms
+    dev = np.subtract(Z, log_pops)
+    np.square(dev, out=dev)
+    dev /= two_om
+    out = np.add.reduce(np.subtract(prior_const, dev, out=dev), axis=1)
+    out -= obs_const
+    out -= rss / two_sigma2
+    out[~np.isfinite(out)] = -np.inf
+    return out
 
 
 def _crude_individual_fits(dataset: Dataset):
@@ -209,13 +246,8 @@ class PkNlmeModel(ExpoFamilyModel):
 
     # --- complete data -----------------------------------------------------
     def complete_loglik(self, dataset, Z, theta):
-        pops, oms, sigma2 = self._unpack(theta)
-        J = dataset.n_obs().astype(float)
-        dev = Z - np.log(pops)
-        prior = (-0.5 * (_LOG2PI + np.log(oms)) - dev**2 / (2.0 * oms)).sum(axis=1)
-        rss = _rss_per_individual(dataset, Z)
-        out = prior - 0.5 * J * (_LOG2PI + np.log(sigma2)) - rss / (2.0 * sigma2)
-        return np.where(np.isfinite(out), out, -np.inf)
+        terms = _loglik_terms(dataset, theta, self._POP, self._OM)
+        return _complete_loglik(Z, terms, _rss_per_individual(dataset, Z))
 
     def complete_score(self, dataset, Z, theta):
         pops, oms, sigma2 = self._unpack(theta)
@@ -351,13 +383,9 @@ class PkFixedVModel(LatentModel):
         return np.array([v[0], v[2]]), v[1], np.array([v[3], v[4]]), v[5]
 
     def complete_loglik(self, dataset, Z, theta):
-        pops, V, oms, sigma2 = self._unpack(theta)
-        J = dataset.n_obs().astype(float)
-        dev = Z - np.log(pops)
-        prior = (-0.5 * (_LOG2PI + np.log(oms)) - dev**2 / (2.0 * oms)).sum(axis=1)
-        rss = _rss_per_individual(dataset, Z, V_fixed=V)
-        out = prior - 0.5 * J * (_LOG2PI + np.log(sigma2)) - rss / (2.0 * sigma2)
-        return np.where(np.isfinite(out), out, -np.inf)
+        terms = _loglik_terms(dataset, theta, self._POP, self._OM)
+        rss = _rss_per_individual(dataset, Z, V_fixed=theta.values[1])
+        return _complete_loglik(Z, terms, rss)
 
     def complete_score(self, dataset, Z, theta):
         pops, V, oms, sigma2 = self._unpack(theta)

@@ -28,6 +28,7 @@ D_i (complete score) and reports -(1/n) sum_i [G_i - D_i D_i^t].
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,13 +133,13 @@ def individual_delta(model: ExpoFamilyModel, dataset: Dataset, stats: np.ndarray
 
 def _metropolis(model, dataset, Z, logf, prop, theta, rng):
     """Accept each row of prop with probability min(1, f(prop)/f(Z)), in place;
-    a non-finite proposal log-likelihood auto-rejects.  Returns the count."""
+    a proposal of log-likelihood -inf (``complete_loglik``'s value for a
+    non-finite row) is always rejected.  Returns the count."""
     logf_prop = model.complete_loglik(dataset, prop, theta)
-    logf_prop = np.where(np.isfinite(logf_prop), logf_prop, -np.inf)
     take = np.log(rng.random(dataset.n)) < logf_prop - logf
-    Z[take] = prop[take]
-    logf[take] = logf_prop[take]
-    return int(take.sum())
+    np.copyto(Z, prop, where=take[:, None])
+    np.copyto(logf, logf_prop, where=take)
+    return int(np.count_nonzero(take))
 
 
 def _mh_sweep(model, dataset, Z, logf, theta, scales, rng, n_steps):
@@ -149,12 +150,14 @@ def _mh_sweep(model, dataset, Z, logf, theta, scales, rng, n_steps):
     forms consume the same draws.
     """
     accepted = 0
+    per_chain = np.ndim(scales) == 3
     for _ in range(n_steps):
         step = rng.standard_normal(Z.shape)
-        if np.ndim(scales) == 3:
-            prop = Z + np.einsum("ijk,ik->ij", scales, step)
+        if per_chain:
+            prop = np.einsum("ijk,ik->ij", scales, step)
         else:
-            prop = Z + step * scales
+            prop = np.multiply(step, scales, out=step)
+        prop += Z
         accepted += _metropolis(model, dataset, Z, logf, prop, theta, rng)
     return Z, logf, accepted / (n_steps * dataset.n)
 
@@ -233,7 +236,11 @@ class _SaemRun:
     theta and the initial latents.  ``draw`` then simulates Z^k from
     p(z | y; theta_{k-1}) with the model's exact conditional sampler or the
     MH kernel, ``record`` keeps the thinned trajectory, and ``results``
-    returns it with the chain diagnostics.
+    returns it with the chain diagnostics.  ``lap(phase)`` charges the wall
+    time since the previous lap to ``phase``: ``draw`` (the E-step),
+    ``update`` (statistics and the stochastic-approximation update),
+    ``mstep``, and ``fim`` (the Louis comparator, FIM diagonals and
+    trajectory record); the sums go into ``diagnostics["phase_s"]``.
     """
 
     def __init__(
@@ -252,6 +259,14 @@ class _SaemRun:
         self.kernel = _MhKernel(model, scales, config.schedule.burn_in)
         self.acc_rates = []
         self._columns = {}
+        self.phase_s = dict.fromkeys(("draw", "update", "mstep", "fim"), 0.0)
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        """Charge the wall time since the previous lap to ``phase``."""
+        now = time.perf_counter()
+        self.phase_s[phase] += now - self._mark
+        self._mark = now
 
     def draw(self, k: int, theta: ParamVector) -> np.ndarray:
         """Latents of iteration k (1-based) drawn at theta = theta_{k-1}."""
@@ -262,6 +277,7 @@ class _SaemRun:
                 self.dataset, self.Z, theta, self.rng, k, self.config.mh_transitions_per_iter
             )
             self.acc_rates.append(acc)
+        self.lap("draw")
         return self.Z
 
     def due(self, k: int) -> bool:
@@ -284,6 +300,7 @@ class _SaemRun:
             "acceptance_rate": float(np.mean(self.acc_rates)) if self.acc_rates else None,
             "proposal_multiplier": self.kernel.mult,
             "mirror_moves": self.kernel.mirror_moves,
+            "phase_s": dict(self.phase_s),
             **diagnostics,
         }
 
@@ -315,7 +332,7 @@ def run_saem(
     state = SaemState(
         k=0,
         theta=run.theta0,
-        stats=stats,
+        stats=stats.copy(),  # relaxed in place below
         latents=Z,
         stat_history_min=stats.copy(),
         stat_history_max=stats.copy(),
@@ -327,23 +344,33 @@ def run_saem(
     averaging = config.averaging == "on_after_burn_in"
     clamp_hits = 0
 
+    # the relaxations run in place; arrays the model returns are only read
     for k in range(1, config.total_iterations + 1):
         gamma = step_size(k, config.schedule)
         if config.exact_estep:
             new_stats = model.conditional_stat_expectation(dataset, state.theta)
+            run.lap("draw")
         else:
             Z = run.draw(k, state.theta)
             new_stats = model.statistics(dataset, Z)
 
-        state.stats = (1.0 - gamma) * state.stats + gamma * new_stats
-        state.stat_history_min = np.minimum(state.stat_history_min, new_stats)
-        state.stat_history_max = np.maximum(state.stat_history_max, new_stats)
+        state.stats *= 1.0 - gamma
+        state.stats += gamma * new_stats
+        np.minimum(state.stat_history_min, new_stats, out=state.stat_history_min)
+        np.maximum(state.stat_history_max, new_stats, out=state.stat_history_max)
+        run.lap("update")
 
         if track_louis:
             sc = model.complete_score(dataset, Z, state.theta)
             he = model.complete_hessian(dataset, Z, state.theta)
-            G = (1.0 - gamma) * G + gamma * (he + np.einsum("ij,ik->ijk", sc, sc))
-            D = (1.0 - gamma) * D + gamma * sc
+            outer = np.einsum("ij,ik->ijk", sc, sc)
+            outer += he
+            outer *= gamma
+            G *= 1.0 - gamma
+            G += outer
+            D *= 1.0 - gamma
+            D += gamma * sc
+            run.lap("fim")
 
         try:
             theta_new = model.argmax_complete(dataset, state.stats)
@@ -356,6 +383,7 @@ def run_saem(
             clamp_hits += 1
         state.theta = theta_new
         state.k = k
+        run.lap("mstep")
 
         if averaging and k > config.schedule.burn_in:
             state.avg_count += 1
@@ -364,6 +392,7 @@ def run_saem(
             else:
                 state.stat_average += (state.stats - state.stat_average) / state.avg_count
         state.latents = None if config.exact_estep else Z
+        run.lap("update")
 
         if run.due(k):
             delta = individual_delta(model, dataset, state.stats, state.theta)
@@ -373,6 +402,7 @@ def run_saem(
                     np.einsum("ill->il", G) - D**2  # type: ignore[index]
                 ).mean(axis=0)
             run.record(k, gamma, state.theta, **columns)
+            run.lap("fim")
 
     delta_final = individual_delta(model, dataset, state.stats, state.theta)
     fim = score_outer_fim(delta_final, names=model.param_names, provenance="sa-byproduct")

@@ -279,12 +279,15 @@ def run_general_saem(
         scores = model.complete_score(dataset, Z, theta)
         deltas = delta_update(deltas, scores, gamma)
         buffer = buffer_update(buffer, Z, gamma)
+        run.lap("update")
         theta = maximize_q(buffer, model, dataset, theta)
+        run.lap("mstep")
         if run.due(k):
             run.record(
                 k, gamma, theta,
                 fim_diag=(deltas**2).mean(axis=0), pruned_mass=buffer.discarded_mass,
             )
+            run.lap("fim")
 
     fim = score_outer_fim(deltas, names=model.param_names, provenance="sa-byproduct")
     trajectories, diagnostics = run.results(

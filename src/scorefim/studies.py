@@ -480,6 +480,7 @@ def _replication_worker(payload):
         "louis_diag": res.trajectories["louis_diag"],
         "iteration": res.trajectories["iteration"],
         "gamma": res.trajectories["gamma"],
+        "phase_s": res.diagnostics["phase_s"],
     }
 
 
@@ -570,6 +571,10 @@ def _replication_study(config: StudyConfig, threads: int):
         "reference_theta": theta_ref.values.tolist(),
         "oracle_min_ess": float(moments.ess.min()),
         "replicates_s": round(replicates_s, 3),
+        # the runs' wall seconds per SAEM phase, summed over the runs
+        "phase_s": {
+            name: round(sum(r["phase_s"][name] for r in ok), 3) for name in ok[0]["phase_s"]
+        },
         "oracle_s": round(oracle_s, 3),
         "oracle_fit_s": round(moments.fit_s, 3),
         "oracle_newton_iterations": moments.newton_iterations,

@@ -100,10 +100,11 @@ _PK_TIMES = [0.5, 1.0, 2.0, 5.0, 9.0, 24.0]
 @pytest.mark.parametrize("model, theta, fit, expected", [
     ("pk_nlme", [1.6, 31.0, 1.8, 0.4, 0.4, 0.4, 0.75],
      {"saem": {"burn_in": 20, "total_iterations": 60}},
-     {"acceptance_rate", "proposal_multiplier", "mirror_moves", "clamp_hits"}),
+     {"acceptance_rate", "proposal_multiplier", "mirror_moves", "clamp_hits", "phase_s"}),
     ("pk_nlme_fixed_v", [1.6, 31.0, 1.8, 0.4, 0.4, 0.75],
      {"saem": {"burn_in": 20, "total_iterations": 60}},
-     {"acceptance_rate", "proposal_multiplier", "mirror_moves", "buffer_length", "pruned_mass"}),
+     {"acceptance_rate", "proposal_multiplier", "mirror_moves", "buffer_length", "pruned_mass",
+      "phase_s"}),
     ("gaussian_mixture2", [2.0 / 3.0, 3.0, 0.0], {}, {"iterations", "converged"}),
 ])
 def test_fit_manifest_records_diagnostics(tmp_path, model, theta, fit, expected):
@@ -123,6 +124,9 @@ def test_fit_manifest_records_diagnostics(tmp_path, model, theta, fit, expected)
     if "acceptance_rate" in expected:
         assert 0.0 < diagnostics["acceptance_rate"] <= 1.0
         assert diagnostics["proposal_multiplier"] > 0
+    if "phase_s" in expected:
+        assert set(diagnostics["phase_s"]) == {"draw", "update", "mstep", "fim"}
+        assert all(s >= 0.0 for s in diagnostics["phase_s"].values())
     if "buffer_length" in expected:
         assert diagnostics["buffer_length"] > 0 and 0.0 <= diagnostics["pruned_mass"] < 1.0
     if "converged" in expected:

@@ -79,7 +79,7 @@ def test_prediction_dv_matches_high_precision():
         want = float(
             (_pred_mp(320, t, ka, V + h, Cl) - _pred_mp(320, t, ka, V - h, Cl)) / (2 * h)
         )
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_prediction_and_dv_sweep_matches_high_precision():
@@ -112,8 +112,9 @@ def test_prediction_and_dv_sweep_matches_high_precision():
                 assert pred == 0.0 and dv == 0.0
                 continue
             want = float(_pred_mp(320, t, ka, V, Cl))
-            assert pred == pytest.approx(want, rel=1e-12), (t, ka, V, Cl)
-            assert dv == pytest.approx(float(dv_mp(t, ka, V, Cl)), rel=1e-10), (t, ka, V, Cl)
+            assert pred == pytest.approx(want, rel=1e-12, abs=0.0), (t, ka, V, Cl)
+            dv_want = float(dv_mp(t, ka, V, Cl))
+            assert dv == pytest.approx(dv_want, rel=1e-10, abs=0.0), (t, ka, V, Cl)
 
 
 def test_dv_keeps_its_digits_where_elimination_outpaces_absorption():

@@ -236,6 +236,10 @@ def test_pk_replication_threads_deterministic(tmp_path):
     manifest = json.loads((tmp_path / "2" / "saem_replication" / "manifest.json").read_text())
     assert manifest["replicates_s"] > 0 and manifest["oracle_s"] > 0
     assert 0 <= manifest["oracle_fit_s"] <= manifest["oracle_s"]
+    # each run's phases fit in its own time, and the two runs share two workers
+    phases = manifest["phase_s"]
+    assert set(phases) == {"draw", "update", "mstep", "fim"} and phases["draw"] > 0
+    assert sum(phases.values()) <= 2 * manifest["replicates_s"] + 0.005
     assert manifest["oracle_newton_iterations"] > 0
     assert manifest["oracle_mirror_refits"] >= 0 and manifest["oracle_unconverged"] == []
     assert manifest["failure_reasons"] == []
