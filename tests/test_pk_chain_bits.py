@@ -88,7 +88,7 @@ def _v_fixed(theta, v_index):
 def _rows(model, dataset, theta, seed, extreme=False):
     Z = model.initial_latents(dataset, theta, substream(seed, 0))
     Z += substream(seed, 1).normal(0.0, 0.7, Z.shape)
-    if extreme:  # log ka or log Cl far enough out to overflow exp either way
+    if extreme:  # log ka or log Cl 800 out either way: exp overflows or underflows
         Z[0, 0], Z[1, 0], Z[2, 1], Z[3, 1] = 800.0, -800.0, 800.0, -800.0
     return Z
 
