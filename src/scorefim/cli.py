@@ -21,7 +21,7 @@ from .modelbase import simulate_dataset
 from .presets import PRESETS, preset_config
 from .reporting import ManifestTimer, fmt, write_table, write_trajectory_csv
 from .studies import (
-    _config_block, _config_value, _seed, fit_model, fit_route, parse_design_config,
+    FIT_KEYS, _config_block, _config_value, _seed, fit_model, fit_route, parse_design_config,
     parse_fit_keys, parse_model_theta, parse_saem_config, parse_study_config, run_study,
 )
 
@@ -63,8 +63,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     raw = _config_block(
         _load_json(args.config), "fit",
-        {"model", "theta0", "method", "saem", "seed", "alpha",
-         "em_tol", "em_max_iter", "prune_epsilon", "capacity"},
+        {"model", "theta0", "method", "saem", "seed", "alpha", *FIT_KEYS},
         required=("model",),
     )
     if args.data is None:

@@ -65,7 +65,3 @@ class OptimFailure(NumericalError):
     def __init__(self, message, grad_norm=None):
         super().__init__(message)
         self.grad_norm = grad_norm
-
-
-class CapacityExceeded(NumericalError):
-    """Weighted sample buffer grew past its capacity after pruning."""

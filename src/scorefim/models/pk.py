@@ -323,26 +323,28 @@ class PkNlmeModel(ExpoFamilyModel):
         rss = _rss_per_individual(dataset, Z)
         return np.column_stack([Z, Z**2, rss])
 
+    # dpsi and dphi build their theta-only row once and copy it to every
+    # individual; the scalar powers keep the bits of a per-column fill
     def dpsi(self, dataset, theta):
         pops, oms, sigma2 = self._unpack(theta)
-        J = dataset.n_obs().astype(float)
-        out = np.zeros((dataset.n, 7))
+        row = np.zeros(7)
         for c in range(3):
-            out[:, self._POP[c]] = np.log(pops[c]) / (oms[c] * pops[c])
-            out[:, self._OM[c]] = 0.5 / oms[c] - np.log(pops[c]) ** 2 / (2.0 * oms[c] ** 2)
-        out[:, 6] = 0.5 * J / sigma2
+            row[self._POP[c]] = np.log(pops[c]) / (oms[c] * pops[c])
+            row[self._OM[c]] = 0.5 / oms[c] - np.log(pops[c]) ** 2 / (2.0 * oms[c] ** 2)
+        out = np.repeat(row[None], dataset.n, axis=0)
+        out[:, 6] = 0.5 * dataset.n_obs().astype(float) / sigma2
         return out
 
     def dphi(self, dataset, theta):
         pops, oms, sigma2 = self._unpack(theta)
-        out = np.zeros((dataset.n, 7, 7))
+        block = np.zeros((7, 7))
         for c in range(3):
             ip, io = self._POP[c], self._OM[c]
-            out[:, c, ip] = 1.0 / (oms[c] * pops[c])
-            out[:, c, io] = -np.log(pops[c]) / oms[c] ** 2
-            out[:, 3 + c, io] = 0.5 / oms[c] ** 2
-        out[:, 6, 6] = 0.5 / sigma2**2
-        return out
+            block[c, ip] = 1.0 / (oms[c] * pops[c])
+            block[c, io] = -np.log(pops[c]) / oms[c] ** 2
+            block[3 + c, io] = 0.5 / oms[c] ** 2
+        block[6, 6] = 0.5 / sigma2**2
+        return np.repeat(block[None], dataset.n, axis=0)
 
     def argmax_complete(self, dataset, stats):
         J = dataset.n_obs().astype(float)

@@ -29,7 +29,7 @@ D_i (complete score) and reports -(1/n) sum_i [G_i - D_i D_i^t].
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -429,14 +429,3 @@ def run_saem(
         state=state,
         diagnostics=diagnostics,
     )
-
-
-def louis_observed_fim_sa(
-    model: ExpoFamilyModel,
-    dataset: Dataset,
-    config: SaemConfig,
-    theta0: ParamVector | None = None,
-) -> FimMatrix:
-    """Observed-FIM comparator by stochastic approximation on the same draws."""
-    result = run_saem(model, dataset, replace(config, track_louis=True), theta0=theta0)
-    return result.louis

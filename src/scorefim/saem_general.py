@@ -17,17 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    CapacityExceeded,
-    ConfigError,
-    DomainViolation,
-    MStepFailure,
-    OptimFailure,
-)
+from .errors import ConfigError, DomainViolation, MStepFailure, OptimFailure
 from .fim import FimMatrix, score_outer_fim
 from .modelbase import ExpoFamilyModel, LatentModel
 from .params import ParamVector
 from .saem import SaemConfig, StepSchedule, _SaemRun, step_size
+
+PRUNE_EPSILON = 1e-6  # default weight below which a buffer entry is pruned
 
 
 class WeightedSampleBuffer:
@@ -39,13 +35,12 @@ class WeightedSampleBuffer:
     a factor 1 - burn_value < 1), so pruning drops a prefix and the window
     slides.  Another prune (from an arbitrary gamma sequence) or an append to
     a full array moves the kept rows to the front of a new array sized to the
-    live length plus slack, never to ``capacity``.  ``derived`` keeps
-    per-entry arrays beside them."""
+    live length plus slack.  ``derived`` keeps per-entry arrays beside them."""
 
-    def __init__(self, prune_epsilon: float = 1e-6, capacity: int = 500):
+    def __init__(self, prune_epsilon: float = PRUNE_EPSILON):
         if prune_epsilon < 0:
             raise ConfigError("prune_epsilon must be nonnegative")
-        self.prune_epsilon, self.capacity = prune_epsilon, capacity
+        self.prune_epsilon = prune_epsilon
         self.weights = np.zeros(0)
         self.discarded_mass = 0.0  # missing mass of the exact unrolling (decays)
         self._rows, self._start, self._stop = np.zeros(0), 0, 0
@@ -124,12 +119,6 @@ def buffer_update(buffer: WeightedSampleBuffer, z_k: np.ndarray, gamma_k: float)
     if not 0.0 <= gamma_k <= 1.0:
         raise DomainViolation("gamma must lie in [0, 1]", component="gamma")
     weights, keep = _relaxed_weights(buffer.weights, gamma_k, buffer.prune_epsilon)
-    live = int(np.count_nonzero(keep))
-    if live > buffer.capacity:
-        raise CapacityExceeded(
-            f"buffer holds {live} entries after pruning "
-            f"(capacity {buffer.capacity}); raise prune_epsilon or capacity"
-        )
     buffer._advance(keep[:len(buffer)], z_k, push=gamma_k > 0.0 and keep[-1])
     buffer.weights = weights[keep]
     buffer.discarded_mass = buffer.discarded_mass * (1.0 - gamma_k) + float(weights[~keep].sum())
@@ -150,29 +139,26 @@ def max_buffer_length(schedule: StepSchedule, total_iterations: int, prune_epsil
     return longest
 
 
-def buffer_capacity(config: SaemConfig, prune_epsilon: float, capacity=None) -> int:
-    """Buffer capacity for a run of ``config``: the length the buffer reaches,
-    or ``capacity`` when given.  A capacity below that length is a
-    ConfigError, since the run would raise CapacityExceeded part way through,
-    and so is a negative prune_epsilon or a step at or below it: that step's
-    draw would be pruned as it enters, and the run would raise MStepFailure
-    on the empty buffer it left."""
+def check_buffer_schedule(config: SaemConfig, prune_epsilon: float, capacity: int | None = None) -> None:
+    """ConfigError for a prune_epsilon that is negative or at or above a step
+    of ``config``'s schedule: that step's draw would be pruned as it enters,
+    and the run would raise MStepFailure on the empty buffer it left.  A
+    ``capacity`` (a config key that sizes nothing) below the buffer's longest
+    length is a ConfigError too."""
     gamma_min = min(step_size(k, config.schedule) for k in (1, config.total_iterations))
     if not 0.0 <= prune_epsilon < gamma_min:
         raise ConfigError(
             f"prune_epsilon {prune_epsilon:g} must lie in [0, {gamma_min:.3g}), "
             "below the smallest step of this schedule"
         )
-    need = max_buffer_length(config.schedule, config.total_iterations, prune_epsilon)
     if capacity is None:
-        return need
-    capacity = int(capacity)
+        return
+    need = max_buffer_length(config.schedule, config.total_iterations, prune_epsilon)
     if capacity < need:
         raise ConfigError(
             f"capacity {capacity} is below the {need} entries the sample buffer "
             f"reaches with this schedule and prune_epsilon {prune_epsilon:g}"
         )
-    return capacity
 
 
 def buffer_objective(buffer: WeightedSampleBuffer, model: LatentModel, dataset: Dataset, theta: ParamVector) -> float:
@@ -256,22 +242,20 @@ def run_general_saem(
     dataset: Dataset,
     config: SaemConfig,
     theta0: ParamVector | None = None,
-    prune_epsilon: float = 1e-6,
-    capacity: int | None = None,
+    prune_epsilon: float = PRUNE_EPSILON,
 ) -> GeneralSaemResult:
     """General-algorithm driver: simulate, relax Q-buffer and Deltas, maximize.
 
     The same draws feed both the buffer and the Delta recursions; scores enter
-    at theta_{k-1}, the value used for the simulation step.  ``capacity``
-    defaults to the length the buffer reaches; a capacity below it, or a
-    prune_epsilon a step can fall to, is a ConfigError before the first
-    iteration (``buffer_capacity``).
+    at theta_{k-1}, the value used for the simulation step.  A prune_epsilon
+    a step can fall to is a ConfigError before the first iteration
+    (``check_buffer_schedule``).
     """
-    capacity = buffer_capacity(config, prune_epsilon, capacity)
+    check_buffer_schedule(config, prune_epsilon)
     run = _SaemRun(model, dataset, config, theta0)
     theta = run.theta0
     deltas = np.zeros((dataset.n, model.p))
-    buffer = WeightedSampleBuffer(prune_epsilon=prune_epsilon, capacity=capacity)
+    buffer = WeightedSampleBuffer(prune_epsilon=prune_epsilon)
 
     for k in range(1, config.total_iterations + 1):
         gamma = step_size(k, config.schedule)

@@ -36,7 +36,7 @@ from .params import ParamVector
 from .reporting import ManifestTimer, write_table
 from .rng import substream
 from .saem import SaemConfig, StepSchedule, run_saem
-from .saem_general import buffer_capacity, run_general_saem
+from .saem_general import PRUNE_EPSILON, check_buffer_schedule, run_general_saem
 
 # stream namespaces: replicate groups start at 100; 1 is reserved for
 # mc_reference_fim chunks, 2 for conditional-moment oracles
@@ -58,7 +58,7 @@ def fit_route(model: str) -> str:
 def fit_model(
     model: LatentModel, ds: Dataset, route: str, saem: SaemConfig | None, seed: int,
     theta0: ParamVector | None = None, *,
-    em_tol: float, em_max_iter: int, prune_epsilon: float, capacity: int,
+    em_tol: float, em_max_iter: int, prune_epsilon: float,
 ) -> tuple:
     """Fit ``model`` to ``ds`` by ``route``, the one fit path of ``scorefim
     fit`` and the studies: (theta_hat, FIM, trajectories or None,
@@ -78,9 +78,7 @@ def fit_model(
     if route == "saem":
         res = run_saem(model, ds, cfg, theta0=theta0)
     else:
-        res = run_general_saem(
-            model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon, capacity=capacity,
-        )
+        res = run_general_saem(model, ds, cfg, theta0=theta0, prune_epsilon=prune_epsilon)
     return res.theta, res.fim, res.trajectories, res.diagnostics
 
 
@@ -102,7 +100,6 @@ class StudyConfig:
     saem: SaemConfig | None
     reference_theta: str | tuple[float, ...]
     prune_epsilon: float
-    capacity: int
     em_tol: float
     em_max_iter: int
 
@@ -124,10 +121,11 @@ def _model_for(config: StudyConfig) -> LatentModel:
 # --------------------------------------------------------------------------
 # strict JSON config parsing
 
+# the keys parse_fit_keys reads, in study and ``scorefim fit`` configs alike
+FIT_KEYS = ("em_tol", "em_max_iter", "prune_epsilon", "capacity")
 _TOP_KEYS = {
     "kind", "model", "theta_star", "design", "M", "seed", "n_values", "alpha",
-    "n_mc", "estimators", "components", "saem", "reference_theta",
-    "prune_epsilon", "capacity", "em_tol", "em_max_iter",
+    "n_mc", "estimators", "components", "saem", "reference_theta", *FIT_KEYS,
 }
 _DESIGN_KEYS = {"n", "n_obs", "times", "dose"}
 _SAEM_KEYS = {
@@ -240,19 +238,20 @@ def parse_saem_config(raw: dict) -> SaemConfig:
 
 
 def parse_fit_keys(raw: dict, route: str, saem: SaemConfig | None) -> dict:
-    """The fit keys of a ``fit`` or study config with their defaults:
-    em_tol, em_max_iter, prune_epsilon and capacity.  On the general route
-    the capacity defaults to, and must not fall below, the length the
-    buffer reaches under the ``saem`` block's schedule."""
-    prune_epsilon = _config_value(raw, "prune_epsilon", float, 1e-6)
+    """The fit keys of a ``fit`` or study config, as ``fit_model`` takes them:
+    em_tol, em_max_iter and prune_epsilon with their defaults.  ``capacity``
+    sizes nothing: it is converted on every route, and on the general route
+    a value below the buffer's longest length under the ``saem`` block's
+    schedule is a ConfigError (``check_buffer_schedule``); then it is
+    dropped."""
+    prune_epsilon = _config_value(raw, "prune_epsilon", float, PRUNE_EPSILON)
     capacity = _config_value(raw, "capacity", int)
     if route == "saem_general" and saem is not None:
-        capacity = buffer_capacity(saem, prune_epsilon, capacity)
+        check_buffer_schedule(saem, prune_epsilon, capacity)
     return {
         "em_tol": _config_value(raw, "em_tol", float, 1e-8),
         "em_max_iter": _config_value(raw, "em_max_iter", int, 2000),
         "prune_epsilon": prune_epsilon,
-        "capacity": 500 if capacity is None else capacity,
     }
 
 
@@ -596,7 +595,7 @@ def _wald_replicate(config: StudyConfig, m: int) -> dict:
         theta_hat, fim, _, _ = fit_model(
             model, ds, fit_route(config.model), config.saem, _fit_seed(config, m),
             em_tol=config.em_tol, em_max_iter=config.em_max_iter,
-            prune_epsilon=config.prune_epsilon, capacity=config.capacity,
+            prune_epsilon=config.prune_epsilon,
         )
         cis = wald_confidence_intervals(theta_hat, fim, config.alpha)
     except ScorefimError as exc:

@@ -54,7 +54,7 @@ def test_simulate_dataset_validates(lmm):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
 def test_buffer_mass_conservation_property(gammas):
-    buf = WeightedSampleBuffer(prune_epsilon=1e-3, capacity=100)
+    buf = WeightedSampleBuffer(prune_epsilon=1e-3)
     missing = 1.0
     for k, g in enumerate(gammas):
         buf = buffer_update(buf, np.full((2, 1), float(k)), g)

@@ -2,9 +2,10 @@
 
 ``_metropolis``, ``_mh_sweep``, ``_rss_per_individual`` and both PK
 ``complete_loglik``s merge rows in place, keep theta-only terms per theta and
-reuse the kept latents' array.  The reference functions below are their plain
-forms: fresh arrays, boolean-mask merges and every term recomputed on every
-call.  Each check asserts equal bits, not closeness.
+reuse the kept latents' array; ``PkNlmeModel.dpsi`` and ``dphi`` build their
+theta-only row once.  The reference functions below are their plain forms:
+fresh arrays, boolean-mask merges, column-by-column fills and every term
+recomputed on every call.  Each check asserts equal bits, not closeness.
 """
 
 import warnings
@@ -47,6 +48,29 @@ def _ref_loglik_fixed_v(dataset, Z, theta):
     v = theta.values
     pops, oms = np.array([v[0], v[2]]), np.array([v[3], v[4]])
     return _ref_loglik_terms(pops, oms, v[5], dataset, Z, _ref_rss(dataset, Z, V_fixed=v[1]))
+
+
+def _ref_dpsi(model, dataset, theta):
+    pops, oms, sigma2 = model._unpack(theta)
+    J = dataset.n_obs().astype(float)
+    out = np.zeros((dataset.n, 7))
+    for c in range(3):
+        out[:, model._POP[c]] = np.log(pops[c]) / (oms[c] * pops[c])
+        out[:, model._OM[c]] = 0.5 / oms[c] - np.log(pops[c]) ** 2 / (2.0 * oms[c] ** 2)
+    out[:, 6] = 0.5 * J / sigma2
+    return out
+
+
+def _ref_dphi(model, dataset, theta):
+    pops, oms, sigma2 = model._unpack(theta)
+    out = np.zeros((dataset.n, 7, 7))
+    for c in range(3):
+        ip, io = model._POP[c], model._OM[c]
+        out[:, c, ip] = 1.0 / (oms[c] * pops[c])
+        out[:, c, io] = -np.log(pops[c]) / oms[c] ** 2
+        out[:, 3 + c, io] = 0.5 / oms[c] ** 2
+    out[:, 6, 6] = 0.5 / sigma2**2
+    return out
 
 
 def _ref_metropolis(loglik, dataset, Z, logf, prop, theta, rng):
@@ -202,3 +226,20 @@ def test_run_saem_relaxes_in_place_without_writing_model_arrays(pk, pk_data):
     assert np.array_equal(plain.louis.entries, frozen.louis.entries)
     assert np.array_equal(plain.theta_averaged.values, frozen.theta_averaged.values)
     assert set(plain.diagnostics["phase_s"]) == {"draw", "update", "mstep", "fim"}
+
+
+def test_dpsi_and_dphi_match_the_column_fills(pk, pk_data):
+    # random thetas over many decades, on a dataset whose rows differ in J
+    ragged = Dataset(tuple(
+        type(r)(y=r.y[: 4 + i % 7], times=r.times[: 4 + i % 7], dose=r.dose)
+        for i, r in enumerate(pk_data.records)
+    ))
+    rng = substream(17, 0)
+    for _ in range(500):
+        values = np.exp(rng.uniform(-6.0, 6.0, 7))
+        theta = pk.make_params(values)
+        for ds in (pk_data, ragged):
+            dpsi, dphi = pk.dpsi(ds, theta), pk.dphi(ds, theta)
+            assert np.array_equal(dpsi, _ref_dpsi(pk, ds, theta))
+            assert np.array_equal(dphi, _ref_dphi(pk, ds, theta))
+            assert dpsi.flags.c_contiguous and dphi.flags.c_contiguous

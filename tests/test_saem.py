@@ -16,7 +16,6 @@ from scorefim.saem import (
     StepSchedule,
     _mh_sweep,
     individual_delta,
-    louis_observed_fim_sa,
     run_saem,
     step_size,
 )
@@ -300,7 +299,7 @@ def test_louis_point_mass_equals_complete_information():
     ds = model.simulate(model.make_params([1.0]), Design(n=20), substream(71, 0))
     cfg = SaemConfig(schedule=paper_schedule(20), total_iterations=60, seed=15,
                      track_louis=True)
-    fim = louis_observed_fim_sa(model, ds, cfg)
+    fim = run_saem(model, ds, cfg).louis
     assert fim.provenance == "louis-sa"
     # complete-data observed information is exactly 1 and missing info is zero
     np.testing.assert_allclose(fim.entries, [[1.0]], rtol=1e-12)

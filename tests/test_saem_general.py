@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from scorefim import Design, simulate_dataset
-from scorefim.errors import CapacityExceeded, ConfigError, DomainViolation, MStepFailure
+from scorefim.errors import ConfigError, DomainViolation, MStepFailure
 from scorefim.rng import substream
 from scorefim.saem import SaemConfig, StepSchedule, individual_delta, run_saem, step_size
 from scorefim.saem_general import (
     WeightedSampleBuffer,
     _relaxed_weights,
-    buffer_capacity,
     buffer_gradient,
     buffer_objective,
     buffer_update,
+    check_buffer_schedule,
     delta_update,
     max_buffer_length,
     maximize_q,
@@ -68,13 +68,6 @@ def test_buffer_weight_law_and_mass_accounting():
     assert buf.total_weight + buf.discarded_mass == pytest.approx(1.0, abs=1e-12)
 
 
-def test_buffer_capacity_error():
-    buf = WeightedSampleBuffer(prune_epsilon=0.0, capacity=3)
-    with pytest.raises(CapacityExceeded):
-        for k in range(5):
-            buf = buffer_update(buf, _z(k), 0.3)
-
-
 def test_max_buffer_length_follows_the_buffer():
     sched = StepSchedule(10, 0.95, 0.6)
     buf, longest = WeightedSampleBuffer(prune_epsilon=1e-3), 0
@@ -104,37 +97,38 @@ def test_zero_weight_entries_drop_at_prune_epsilon_zero():
     assert max_buffer_length(StepSchedule(1000, 0.95, 0.6), 3000, 0.0) == 2000
 
 
-def test_run_general_saem_defaults_its_capacity_to_the_buffer_length(lmm):
+def test_run_general_saem_runs_the_default_schedule_to_its_buffer_length(lmm):
     # the default schedule (burn-in 1000, K = 3000) reaches 789 entries at
-    # the default prune_epsilon 1e-6; a fixed default capacity of 500 raised
-    # CapacityExceeded at k = 1,948
+    # the default prune_epsilon 1e-6; the buffer holds them all, since no
+    # capacity bounds it
     ds = simulate_dataset(lmm, lmm.make_params([3.0, 2.0, 5.0]), Design(n=5, n_obs=4), seed=91)
-    assert buffer_capacity(SaemConfig(seed=1), 1e-6) == 789
     res = run_general_saem(lmm, ds, SaemConfig(seed=1))
     assert res.diagnostics["buffer_length"] == 789
-    # a capacity given below that length is refused before the first iteration
-    with pytest.raises(ConfigError, match="capacity 788 is below the 789 entries"):
-        run_general_saem(lmm, ds, SaemConfig(seed=1), capacity=788)
     assert np.isfinite(res.theta.values).all()
+    # a capacity key below that length is refused; at it, it is not
+    with pytest.raises(ConfigError, match="capacity 788 is below the 789 entries"):
+        check_buffer_schedule(SaemConfig(seed=1), 1e-6, 788)
+    check_buffer_schedule(SaemConfig(seed=1), 1e-6, 789)
 
 
-def test_buffer_capacity_rejects_a_step_at_or_below_prune_epsilon(lmm):
+def test_check_buffer_schedule_rejects_a_step_at_or_below_prune_epsilon(lmm):
     # after burn-in the step 1/(k - 5) falls below 1e-3 at k = 1006: that
     # draw would be pruned as it enters, the tied older weights with it, and
     # the M-step would find the buffer empty, so the run refuses to start
     cfg = SaemConfig(schedule=StepSchedule(5, 0.95, 1.0), total_iterations=1010, seed=1)
     with pytest.raises(ConfigError, match="below the smallest step"):
-        buffer_capacity(cfg, 1e-3)
+        check_buffer_schedule(cfg, 1e-3)
     ds = simulate_dataset(lmm, lmm.make_params([3.0, 2.0, 5.0]), Design(n=5, n_obs=4), seed=91)
     with pytest.raises(ConfigError, match="below the smallest step"):
-        run_general_saem(lmm, ds, cfg, prune_epsilon=1e-3, capacity=2000)
+        run_general_saem(lmm, ds, cfg, prune_epsilon=1e-3)
     # the step exactly at prune_epsilon is rejected; one just above it is not
     at = SaemConfig(schedule=StepSchedule(5, 0.95, 1.0), total_iterations=1005)
     with pytest.raises(ConfigError):
-        buffer_capacity(at, 1e-3)
-    assert buffer_capacity(replace(at, total_iterations=1004), 1e-3) == 999
+        check_buffer_schedule(at, 1e-3)
+    check_buffer_schedule(replace(at, total_iterations=1004), 1e-3)
+    assert max_buffer_length(at.schedule, 1004, 1e-3) == 999
     with pytest.raises(ConfigError):  # a burn-in step at or below it too
-        buffer_capacity(SaemConfig(schedule=StepSchedule(5, 0.01, 0.6), total_iterations=50), 0.01)
+        check_buffer_schedule(SaemConfig(schedule=StepSchedule(5, 0.01, 0.6), total_iterations=50), 0.01)
 
 
 def _prunes_oldest_first(schedule, total_iterations, prune_epsilon):
@@ -169,7 +163,7 @@ def test_pruning_drops_the_oldest_entries_first():
                 for eps in (0.0, 1e-6, 1e-3):
                     cfg = SaemConfig(StepSchedule(burn_in, burn_value, exponent), total_iterations=400)
                     try:
-                        buffer_capacity(cfg, eps)
+                        check_buffer_schedule(cfg, eps)
                     except ConfigError:
                         continue
                     runs.append((cfg.schedule, 400, eps))
@@ -179,10 +173,9 @@ def test_pruning_drops_the_oldest_entries_first():
 
 
 def test_buffer_memory_follows_the_live_length():
-    # the array behind the window is sized to the live entries plus slack,
-    # whatever the capacity
+    # the array behind the window is sized to the live entries plus slack
     sched = StepSchedule(10, 0.95, 0.6)
-    buf = WeightedSampleBuffer(prune_epsilon=1e-3, capacity=10**9)
+    buf = WeightedSampleBuffer(prune_epsilon=1e-3)
     for k in range(1, 81):
         buf = buffer_update(buf, _z(k), step_size(k, sched))
         assert len(buf.latents.base) <= 1.25 * max_buffer_length(sched, k, 1e-3) + 17
