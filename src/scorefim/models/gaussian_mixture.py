@@ -75,13 +75,22 @@ class GaussianMixtureModel(ExpoFamilyModel):
         y = np.where(z > 0.5, mu2, mu1) + rng.standard_normal(design.n)
         return Dataset.from_arrays(y[:, None], latent_truth=z[:, None])
 
-    def responsibility(self, dataset, theta) -> np.ndarray:
-        """P(z_i = 1 | y_i; theta), the mu2-component posterior weight."""
+    def _log_terms(self, dataset, theta):
+        """(l2, log(e^l1 + e^l2)) per individual, l1 and l2 being the log
+        weighted component densities at y less log(2 pi) / 2: the
+        responsibility is exp(l2 - the second) and the marginal
+        log-likelihood the second less log(2 pi) / 2.  EM reads both of each
+        iterate from one call."""
         pi, mu1, mu2 = theta.values
         y = self._y(dataset)
-        l2 = np.log(pi) - 0.5 * (y - mu2) ** 2
         l1 = np.log1p(-pi) - 0.5 * (y - mu1) ** 2
-        return np.exp(l2 - np.logaddexp(l1, l2))
+        l2 = np.log(pi) - 0.5 * (y - mu2) ** 2
+        return l2, np.logaddexp(l1, l2)
+
+    def responsibility(self, dataset, theta) -> np.ndarray:
+        """P(z_i = 1 | y_i; theta), the mu2-component posterior weight."""
+        l2, lse = self._log_terms(dataset, theta)
+        return np.exp(l2 - lse)
 
     def sample_conditional(self, dataset, theta, rng):
         r = self.responsibility(dataset, theta)
@@ -135,16 +144,14 @@ class GaussianMixtureModel(ExpoFamilyModel):
 
     # --- analytic observed-data quantities ---------------------------------
     def marginal_loglik(self, dataset, theta):
-        pi, mu1, mu2 = theta.values
-        y = self._y(dataset)
-        l1 = np.log1p(-pi) - 0.5 * (y - mu1) ** 2
-        l2 = np.log(pi) - 0.5 * (y - mu2) ** 2
-        return np.logaddexp(l1, l2) - 0.5 * _LOG2PI
+        return self._log_terms(dataset, theta)[1] - 0.5 * _LOG2PI
 
     def marginal_score(self, dataset, theta):
+        return self._marginal_score(self._y(dataset), theta, self.responsibility(dataset, theta))
+
+    @staticmethod
+    def _marginal_score(y, theta, r):
         pi, mu1, mu2 = theta.values
-        y = self._y(dataset)
-        r = self.responsibility(dataset, theta)
         return np.column_stack(
             [
                 r / pi - (1.0 - r) / (1.0 - pi),
@@ -157,7 +164,7 @@ class GaussianMixtureModel(ExpoFamilyModel):
         pi, mu1, mu2 = theta.values
         y = self._y(dataset)
         r = self.responsibility(dataset, theta)
-        s = self.marginal_score(dataset, theta)
+        s = self._marginal_score(y, theta, r)
         H = -np.einsum("ij,ik->ijk", s, s)
         H[:, 0, 1] += -(1.0 - r) * (y - mu1) / (1.0 - pi)
         H[:, 1, 0] = H[:, 0, 1]
@@ -209,10 +216,13 @@ def gaussian_mixture_em(
         raise DomainViolation("EM needs at least two observations")
     y = model._y(dataset)
     theta = theta0
-    path = [float(model.marginal_loglik(dataset, theta).sum())]
+    # each iterate's log terms give its marginal log-likelihood and the
+    # next step's responsibilities
+    l2, lse = model._log_terms(dataset, theta)
+    path = [float((lse - 0.5 * _LOG2PI).sum())]
     converged = False
     for it in range(1, max_iter + 1):
-        r = model.responsibility(dataset, theta)
+        r = np.exp(l2 - lse)
         mass2 = r.sum()
         mass1 = dataset.n - mass2
         pi, mu1, mu2 = theta.values
@@ -222,7 +232,8 @@ def gaussian_mixture_em(
             mu1 = float((1.0 - r) @ y / mass1)
         pi = float(np.clip(mass2 / dataset.n, 1e-12, 1.0 - 1e-12))
         theta = model.make_params([pi, mu1, mu2])
-        path.append(float(model.marginal_loglik(dataset, theta).sum()))
+        l2, lse = model._log_terms(dataset, theta)
+        path.append(float((lse - 0.5 * _LOG2PI).sum()))
         if path[-1] - path[-2] < tol:
             converged = True
             break

@@ -75,10 +75,13 @@ def _pk_core(kat, clt, dkat, V, dv=False, scratch=None):
         g[small] = 1.0 + ys / 2.0 + ys**2 / 6.0 + ys**3 / 24.0
     if dv:
         lo = np.less(kat, u, out=lo)
+        flip = np.count_nonzero(lo) > 0  # else the five passes where=lo write nothing
         h = em  # expm1(y) is read for the last time here
-        t = np.asarray(np.multiply(y, em, out=t, where=lo))
+        if flip:
+            t = np.asarray(np.multiply(y, em, out=t, where=lo))
         h -= y
-        np.subtract(t, h, out=h, where=lo)  # y^2 g'(y) where ka t < u
+        if flip:
+            np.subtract(t, h, out=h, where=lo)  # y^2 g'(y) where ka t < u
         h /= y
         h /= y
         if ys is not None:
@@ -90,10 +93,11 @@ def _pk_core(kat, clt, dkat, V, dv=False, scratch=None):
             y[small] = ys
         t = np.asarray(np.multiply(h, u, out=t))
         t -= g
-        np.multiply(h, kat, out=h, where=lo)
-        with np.errstate(under="ignore"):  # exp(y) -> 0 is the exact limit
-            np.exp(y, out=y, where=lo)
-        np.subtract(h, y, out=t, where=lo)
+        if flip:
+            np.multiply(h, kat, out=h, where=lo)
+            with np.errstate(under="ignore"):  # exp(y) -> 0 is the exact limit
+                np.exp(y, out=y, where=lo)
+            np.subtract(h, y, out=t, where=lo)
         t *= pred
         t /= V
     pred *= g
@@ -444,15 +448,18 @@ class PkFixedVModel(LatentModel):
         entries l of a nonempty sample buffer (``maximize_q`` checks it).
 
         ka, Cl and their variances are closed-form in the weighted latent
-        moments; V is a 1-D profile (``_profile_v``: a Gauss-Newton first
-        step, then a safeguarded secant on the derivative of the weighted
-        residual sum, with a bounded-Brent fallback) and sigma2 is
+        moments; V is a 1-D profile (``_profile_v``) and sigma2 is
         closed-form given V.  The profile (``_FusedProfile``) runs on the
         entries' ``_profile_factors``, which the buffer computes once per
         entry and keeps, and weights each entry's own residual sums.  The
-        buffer keeps those sums at the last V evaluated, which ``_profile_v``
-        returns and the next M-step starts from, so that M-step's first
-        evaluation computes the sums of the new entries only.
+        buffer keeps those sums at the last three V's evaluated: the V the
+        last M-step returned, where this one starts, and the two before it.
+        At those points an evaluation sums only the entry that joined, so the
+        derivatives there are exact and cheap, and they give the profile its
+        inverse-quadratic first step; most M-steps then evaluate the whole
+        window once, at that step, to check the tolerance.  What each M-step
+        took goes into ``buffer.mstep_effort``: its ``_profile_v`` step, and
+        ``window_evals``, the evaluations that summed the whole window.
         """
         wn = buffer.weights / buffer.total_weight
         m1 = np.einsum("l,lic->c", wn, buffer.latents) / dataset.n
@@ -465,7 +472,11 @@ class PkFixedVModel(LatentModel):
         def keep(V, fill):
             return buffer.derived("profile_sums", dataset, fill, key=V)
 
-        V, rss_at_v = _profile_v(_FusedProfile(Y, factors, wn, keep), float(theta_init.values[1]))
+        V0 = float(theta_init.values[1])
+        kept = [V for V in buffer.derived_keys("profile_sums", dataset) if V != V0]
+        profile = _FusedProfile(Y, factors, wn, keep)
+        V, rss_at_v, step = _profile_v(profile, V0, kept[-2:])
+        buffer.mstep_effort.update({step: 1, "window_evals": profile.window_evals})
         sigma2 = max(rss_at_v / float(dataset.n_obs().sum()), 1e-10)
         return self.make_params([np.exp(m1[0]), V, np.exp(m1[1]), oms[0], oms[1], sigma2])
 
@@ -494,18 +505,20 @@ class _FusedProfile:
     sum (dpred/dV)^2), which depend on neither W nor the other entries, so
     ``keep(V, fill)`` may return the (L, 3) sums kept from an earlier call at
     the same V and run ``fill`` only on the newest entries (the buffer keeps
-    them at the V the last M-step ended on, where the next one starts).
+    them at the last three V's evaluated).
     Without ``keep`` every entry's sums are computed.  The entries run in
     blocks of _PROFILE_BLOCK through scratch arrays reused across blocks and
     evaluations, so a block's work stays in cache.  The curvature
-    2 sum w (dpred/dV)^2 is _profile_v's first step."""
+    2 sum w (dpred/dV)^2 gives _profile_v's Gauss-Newton step."""
 
     def __init__(self, Y, factors, W, keep=None):
         self.Y, self.factors, self.W, self.keep = Y, factors, W, keep
+        self.window_evals = 0  # evaluations that summed every entry
         self._scratch = _core_scratch((min(_PROFILE_BLOCK, len(W)),) + Y.shape)
 
     def __call__(self, V):
         def fill(Z):  # the newest len(Z) entries of the window
+            self.window_evals += len(Z) == len(self.factors)
             return self._sums(self.factors[len(self.factors) - len(Z):], V)
 
         S = fill(self.factors) if self.keep is None else self.keep(V, fill)
@@ -531,27 +544,44 @@ class _FusedProfile:
         return S
 
 
-def _profile_v(evaluate, V0, max_iter=40):
-    """Minimize the 1-D profile over [V0/4, 4 V0]; returns (V, rss(V)).
+def _profile_v(evaluate, V0, kept=(), max_iter=40):
+    """Minimize the 1-D profile over [V0/4, 4 V0]; returns (V, rss(V), step),
+    V being the last point evaluated and ``step`` what reached it: "start"
+    (V0 met the tolerance), "interpolation" or "gauss_newton" (the first
+    step did), "secant" or "brent".
 
     ``evaluate(V)`` returns (rss, d rss/dV, curvature), the curvature None
-    where the caller has none.  The first step is the Gauss-Newton step
-    V0 - g0 / curvature, else a 1e-4 V0 probe downhill; from there a
-    safeguarded secant on the derivative runs, with a bounded-Brent fallback.
+    where the caller has none.  ``kept`` holds up to two earlier points where
+    evaluating is cheap (the buffer keeps the sums there), oldest first; they
+    are evaluated before V0.  With two of them the first step is inverse
+    quadratic interpolation of V(g) at g = 0 through their derivatives and
+    V0's (Brent 1973, ch. 4); with fewer, or coinciding derivatives, or an
+    interpolate that is not finite, it is the Gauss-Newton step
+    V0 - g0 / curvature, else a 1e-4 V0 probe downhill.  A first step that
+    does not reach the tolerance is followed by a safeguarded secant on the
+    derivative from the kept point or V0 of smallest |derivative|, with a
+    bounded-Brent fallback.
     """
     lo, hi = V0 / 4.0, 4.0 * V0
+    points = [(V, evaluate(V)[1]) for V in kept]
     f0, g0, c0 = evaluate(V0)
     gtol = 1e-8 * (1.0 + abs(f0))
     if abs(g0) < gtol:
-        return V0, f0
-    V1 = float(np.clip(V0 - g0 / c0, lo, hi)) if c0 is not None and c0 > 0 else V0
+        return V0, f0, "start"
+    points.append((V0, g0))
+    V1 = _inverse_quadratic_root(points) if len(points) == 3 else None
+    first = "gauss_newton" if V1 is None else "interpolation"
+    if V1 is None:
+        V1 = V0 - g0 / c0 if c0 is not None and c0 > 0 else V0
+    V1 = float(np.clip(V1, lo, hi))
     if V1 == V0:
         V1 = float(np.clip(V0 + 1e-4 * V0 * (-1.0 if g0 > 0 else 1.0), lo, hi))
     f1, g1, _ = evaluate(V1)
-    Va, ga, fa, Vb, gb, fb = V0, g0, f0, V1, g1, f1
+    Va, ga = min(points, key=lambda p: abs(p[1]))
+    if abs(g1) < gtol:
+        return V1, f1, first
+    Vb, gb, fb = V1, g1, f1
     for _ in range(max_iter):
-        if abs(gb) < gtol:
-            return Vb, fb
         if gb == ga:
             break
         Vn = float(np.clip(Vb - gb * (Vb - Va) / (gb - ga), lo, hi))
@@ -562,10 +592,12 @@ def _profile_v(evaluate, V0, max_iter=40):
         if abs(gn) > abs(gb):
             Vn = 0.5 * (Vn + Vb)
             fn, gn, _ = evaluate(Vn)
-        Va, ga, fa = Vb, gb, fb
+        Va, ga = Vb, gb
         Vb, gb, fb = Vn, gn, fn
+        if abs(gb) < gtol:
+            return Vb, fb, "secant"
     if abs(gb) < 10.0 * gtol:
-        return Vb, fb
+        return Vb, fb, "secant"
     from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(
@@ -573,4 +605,18 @@ def _profile_v(evaluate, V0, max_iter=40):
         options={"xatol": 1e-10 * V0},
     )
     Vr = float(res.x)
-    return Vr, evaluate(Vr)[0]
+    return Vr, evaluate(Vr)[0], "brent"
+
+
+def _inverse_quadratic_root(points):
+    """V at g = 0 of the quadratic V(g) through three (V, g) points, or None
+    where two points share a V or a g, or the root is not finite."""
+    (a, ga), (b, gb), (c, gc) = points
+    if len({a, b, c}) < 3 or len({ga, gb, gc}) < 3:
+        return None
+    V = (
+        a * gb * gc / ((ga - gb) * (ga - gc))
+        + b * ga * gc / ((gb - ga) * (gb - gc))
+        + c * ga * gb / ((gc - ga) * (gc - gb))
+    )
+    return V if np.isfinite(V) else None

@@ -12,6 +12,7 @@ at the end, using the same draws that feed the buffer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .params import ParamVector
 from .saem import SaemConfig, StepSchedule, _SaemRun, step_size
 
 PRUNE_EPSILON = 1e-6  # default weight below which a buffer entry is pruned
+_KEPT_KEYS = 3  # keys ``derived`` keeps arrays at, per name
 
 
 class WeightedSampleBuffer:
@@ -35,7 +37,8 @@ class WeightedSampleBuffer:
     a factor 1 - burn_value < 1), so pruning drops a prefix and the window
     slides.  Another prune (from an arbitrary gamma sequence) or an append to
     a full array moves the kept rows to the front of a new array sized to the
-    live length plus slack.  ``derived`` keeps per-entry arrays beside them."""
+    live length plus slack.  ``derived`` keeps per-entry arrays beside them,
+    at up to _KEPT_KEYS keys each."""
 
     def __init__(self, prune_epsilon: float = PRUNE_EPSILON):
         if prune_epsilon < 0:
@@ -44,7 +47,9 @@ class WeightedSampleBuffer:
         self.weights = np.zeros(0)
         self.discarded_mass = 0.0  # missing mass of the exact unrolling (decays)
         self._rows, self._start, self._stop = np.zeros(0), 0, 0
-        self._dataset, self._derived = None, {}  # name -> (array like _rows, rows filled, key)
+        # name -> {key: (array like _rows, rows filled)}, least recently used key first
+        self._dataset, self._derived = None, {}
+        self.mstep_effort = Counter()  # counts a model's M-step adds, by name
 
     def __len__(self):
         return self._stop - self._start
@@ -58,24 +63,34 @@ class WeightedSampleBuffer:
         return float(self.weights.sum())
 
     def derived(self, name: str, dataset: Dataset, fill, key=None) -> np.ndarray:
-        """The (L, ...) per-entry array ``name`` of ``dataset``, aligned with
-        ``latents``.  ``fill`` maps an (m, n, d) stack of entries to their
-        (m, ...) rows; it runs on the entries that joined since the last call,
-        which are always the newest m of the window, so each entry is filled
-        once.  A call with another ``key`` (say the point the rows are
-        evaluated at) fills the whole window again, and a call with another
-        dataset drops every array."""
+        """The (L, ...) per-entry array ``name`` of ``dataset`` at ``key``,
+        aligned with ``latents``.  ``fill`` maps an (m, n, d) stack of entries
+        to their (m, ...) rows; it runs on the entries that joined since the
+        last call at that key, which are always the newest m of the window,
+        so each entry is filled once per key.  Arrays are kept at the last
+        _KEPT_KEYS keys asked for (say the points the rows are evaluated at):
+        a call with a key not kept fills the whole window again, in place of
+        the least recently asked one.  A call with another dataset drops
+        every array."""
         if dataset is not self._dataset:
             self._dataset, self._derived = dataset, {}
-        rows, done, kept_key = self._derived.get(name, (None, 0, key))
-        done = max(done, self._start) if kept_key == key else self._start
+        kept = self._derived.setdefault(name, {})
+        rows, done = kept.pop(key, (None, self._start))
+        if rows is None and len(kept) == _KEPT_KEYS:
+            rows, _ = kept.pop(next(iter(kept)))  # reuse the least recent array
+        done = max(done, self._start)
         if done < self._stop:
             new = fill(self._rows[done:self._stop])
             if rows is None:
                 rows = np.empty((len(self._rows),) + new.shape[1:])
             rows[done:self._stop] = new
-            self._derived[name] = rows, self._stop, key
+        kept[key] = rows, self._stop
         return rows[self._start:self._stop]
+
+    def derived_keys(self, name: str, dataset: Dataset) -> list:
+        """The keys ``derived`` keeps ``name`` of ``dataset`` at, least
+        recently asked first."""
+        return list(self._derived.get(name, ())) if dataset is self._dataset else []
 
     def _advance(self, keep: np.ndarray, z: np.ndarray, push: bool) -> None:
         """Keep the live entries where ``keep`` holds, then append ``z`` if ``push``."""
@@ -95,11 +110,12 @@ class WeightedSampleBuffer:
         old, self._rows = self._rows, np.empty((size,) + entry_shape)
         if len(kept):  # the initial array is empty and 1-D
             self._rows[:len(kept)] = old[kept]
-        for name, (rows, done, key) in self._derived.items():
-            filled = kept[:np.searchsorted(kept, done)]  # filled rows lead the window
-            moved = np.empty((size,) + rows.shape[1:])
-            moved[:len(filled)] = rows[filled]
-            self._derived[name] = moved, len(filled), key
+        for arrays in self._derived.values():
+            for key, (rows, done) in arrays.items():
+                filled = kept[:np.searchsorted(kept, done)]  # filled rows lead the window
+                moved = np.empty((size,) + rows.shape[1:])
+                moved[:len(filled)] = rows[filled]
+                arrays[key] = moved, len(filled)
         self._start, self._stop = 0, len(kept)
 
 
@@ -275,7 +291,8 @@ def run_general_saem(
 
     fim = score_outer_fim(deltas, names=model.param_names, provenance="sa-byproduct")
     trajectories, diagnostics = run.results(
-        buffer_length=len(buffer), pruned_mass=buffer.discarded_mass
+        buffer_length=len(buffer), pruned_mass=buffer.discarded_mass,
+        mstep_effort=dict(buffer.mstep_effort),
     )
     return GeneralSaemResult(
         theta=theta, fim=fim, trajectories=trajectories, deltas=deltas, diagnostics=diagnostics,

@@ -454,6 +454,25 @@ def _failure_reasons(results) -> list:
     return [[m, r["error"]] for m, r in enumerate(results) if "error" in r]
 
 
+# the run diagnostics a replicate's fit reports that its study sums over the
+# replicates into manifest.json: wall seconds per SAEM phase, and the M-step
+# effort of the general algorithm (profile evaluations and steps, counted)
+_SUMMED_DIAGNOSTICS = ("phase_s", "mstep_effort")
+
+
+def _summed_diagnostics(ok: list) -> dict:
+    """Each of _SUMMED_DIAGNOSTICS summed name by name over the replicates in
+    ``ok`` that report it (seconds to the ms); a route that reports none of
+    them, as EM, adds nothing."""
+    out = {}
+    for key in _SUMMED_DIAGNOSTICS:
+        parts = [r[key] for r in ok if key in r]
+        names = dict.fromkeys(name for part in parts for name in part)
+        if names:
+            out[key] = {name: round(sum(part.get(name, 0) for part in parts), 3) for name in names}
+    return out
+
+
 def _fit_seed(config: StudyConfig, m: int) -> int:
     """Seed of replicate m's stochastic fit, from the stream (seed, _GROUP_FIT, m)."""
     return int(np.random.SeedSequence(config.seed, spawn_key=(_GROUP_FIT, m)).generate_state(1)[0])
@@ -570,10 +589,7 @@ def _replication_study(config: StudyConfig, threads: int):
         "reference_theta": theta_ref.values.tolist(),
         "oracle_min_ess": float(moments.ess.min()),
         "replicates_s": round(replicates_s, 3),
-        # the runs' wall seconds per SAEM phase, summed over the runs
-        "phase_s": {
-            name: round(sum(r["phase_s"][name] for r in ok), 3) for name in ok[0]["phase_s"]
-        },
+        **_summed_diagnostics(ok),
         "oracle_s": round(oracle_s, 3),
         "oracle_fit_s": round(moments.fit_s, 3),
         "oracle_newton_iterations": moments.newton_iterations,
@@ -592,7 +608,7 @@ def _wald_replicate(config: StudyConfig, m: int) -> dict:
     rng = substream(config.seed, _GROUP_DATA, m)
     ds = model.simulate(config.theta_star, config.design, rng)
     try:
-        theta_hat, fim, _, _ = fit_model(
+        theta_hat, fim, _, diagnostics = fit_model(
             model, ds, fit_route(config.model), config.saem, _fit_seed(config, m),
             em_tol=config.em_tol, em_max_iter=config.em_max_iter,
             prune_epsilon=config.prune_epsilon,
@@ -605,6 +621,7 @@ def _wald_replicate(config: StudyConfig, m: int) -> dict:
         "cover": np.array([ci.contains(star[l]) for l, ci in enumerate(cis)], dtype=float),
         "theta": theta_hat.values,
         "fim": fim.entries,
+        **{key: diagnostics[key] for key in _SUMMED_DIAGNOSTICS if key in diagnostics},
     }
 
 
@@ -639,12 +656,14 @@ def _run_wald_replicates(config: StudyConfig, worker, threads: int) -> _WaldRuns
 
 
 def _coverage_outputs(names, runs: _WaldRuns):
-    """The coverage.csv table, and the failed replicates for the manifest."""
+    """The coverage.csv table, and for the manifest the failed replicates and
+    the fits' summed diagnostics."""
     rows = [[n, c, s, len(runs.ok), runs.failures]
             for n, c, s in zip(names, runs.coverage, runs.binomial_se)]
     header = ["parameter", "coverage", "binomial_se", "M_effective", "failures"]
     return {"coverage.csv": (header, rows)}, {
         "failures": runs.failures, "failure_reasons": runs.failure_reasons,
+        **_summed_diagnostics(runs.ok),
     }
 
 

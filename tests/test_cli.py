@@ -104,7 +104,7 @@ _PK_TIMES = [0.5, 1.0, 2.0, 5.0, 9.0, 24.0]
     ("pk_nlme_fixed_v", [1.6, 31.0, 1.8, 0.4, 0.4, 0.75],
      {"saem": {"burn_in": 20, "total_iterations": 60}},
      {"acceptance_rate", "proposal_multiplier", "mirror_moves", "buffer_length", "pruned_mass",
-      "phase_s"}),
+      "phase_s", "mstep_effort"}),
     ("gaussian_mixture2", [2.0 / 3.0, 3.0, 0.0], {}, {"iterations", "converged"}),
 ])
 def test_fit_manifest_records_diagnostics(tmp_path, model, theta, fit, expected):
@@ -129,6 +129,7 @@ def test_fit_manifest_records_diagnostics(tmp_path, model, theta, fit, expected)
         assert all(s >= 0.0 for s in diagnostics["phase_s"].values())
     if "buffer_length" in expected:
         assert diagnostics["buffer_length"] > 0 and 0.0 <= diagnostics["pruned_mass"] < 1.0
+        assert diagnostics["mstep_effort"]["window_evals"] > 0
     if "converged" in expected:
         assert diagnostics["converged"] is True and diagnostics["iterations"] > 1
 

@@ -79,6 +79,75 @@ def test_em_loglik_monotone(gmm, gmm_theta):
         assert np.all(gains >= -1e-10)
 
 
+def _log_terms(y, theta):
+    pi, mu1, mu2 = theta.values
+    return np.log1p(-pi) - 0.5 * (y - mu1) ** 2, np.log(pi) - 0.5 * (y - mu2) ** 2
+
+
+def _responsibility(y, theta):
+    l1, l2 = _log_terms(y, theta)
+    return np.exp(l2 - np.logaddexp(l1, l2))
+
+
+def _em_two_calls(ds, theta0, tol, max_iter):
+    """EM as written before each iterate's log terms were shared: the
+    responsibilities and the marginal log-likelihood from their own calls."""
+    gmm = GaussianMixtureModel()
+    y = ds.y[:, 0]
+
+    def loglik(theta):
+        return float((np.logaddexp(*_log_terms(y, theta)) - 0.5 * np.log(2.0 * np.pi)).sum())
+
+    theta, path, converged = theta0, [loglik(theta0)], False
+    for _ in range(max_iter):
+        r = _responsibility(y, theta)
+        mass2 = r.sum()
+        mass1 = ds.n - mass2
+        pi, mu1, mu2 = theta.values
+        if mass2 > 0:
+            mu2 = float(r @ y / mass2)
+        if mass1 > 0:
+            mu1 = float((1.0 - r) @ y / mass1)
+        pi = float(np.clip(mass2 / ds.n, 1e-12, 1.0 - 1e-12))
+        theta = gmm.make_params([pi, mu1, mu2])
+        path.append(loglik(theta))
+        if path[-1] - path[-2] < tol:
+            converged = True
+            break
+    return theta, path[-1], len(path) - 1, converged, np.array(path)
+
+
+def test_em_matches_the_two_call_form_bit_for_bit(gmm, gmm_theta):
+    # EM computes each iterate's log terms once, for its log-likelihood and
+    # the next responsibilities, and the marginal Hessian its
+    # responsibilities once; both give the bits of the two-call form
+    rng = substream(34, 0)
+    for trial in range(12):
+        ds = gmm.simulate(gmm_theta, Design(n=750), rng)
+        theta0 = gmm.make_params([rng.uniform(0.1, 0.9), rng.normal(2, 2), rng.normal(0, 2)])
+        max_iter = 3 if trial == 0 else 2000  # one fit stops at its limit
+        res = gaussian_mixture_em(ds, theta0, tol=1e-8, max_iter=max_iter)
+        theta, loglik, n_iter, converged, path = _em_two_calls(ds, theta0, 1e-8, max_iter)
+        assert converged == res.converged == (trial > 0)
+        np.testing.assert_array_equal(res.theta.values, theta.values)
+        np.testing.assert_array_equal(res.loglik_path, path)
+        assert (res.loglik, res.n_iter) == (loglik, n_iter)
+        pi, mu1, mu2 = theta.values
+        y = ds.y[:, 0]
+        r = _responsibility(y, theta)
+        np.testing.assert_array_equal(gmm.responsibility(ds, theta), r)
+        s = np.column_stack([r / pi - (1.0 - r) / (1.0 - pi), (1.0 - r) * (y - mu1), r * (y - mu2)])
+        np.testing.assert_array_equal(gmm.marginal_score(ds, theta), s)
+        H = -np.einsum("ij,ik->ijk", s, s)
+        H[:, 0, 1] += -(1.0 - r) * (y - mu1) / (1.0 - pi)
+        H[:, 1, 0] = H[:, 0, 1]
+        H[:, 0, 2] += r * (y - mu2) / pi
+        H[:, 2, 0] = H[:, 0, 2]
+        H[:, 1, 1] += (1.0 - r) * ((y - mu1) ** 2 - 1.0)
+        H[:, 2, 2] += r * ((y - mu2) ** 2 - 1.0)
+        np.testing.assert_array_equal(gmm.marginal_hessian(ds, theta), H)
+
+
 def test_em_degenerate_single_component(gmm):
     rng = substream(33, 0)
     y = rng.normal(1.5, 1.0, size=200)

@@ -399,10 +399,11 @@ def test_fused_profile_matches_the_per_record_route(pk_fixed_v_data):
 
 def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta):
     # the factors the buffer keeps for the fixed-V profile are computed once
-    # per entry, and the per-entry sums once per entry and V; both survive
-    # slides, relocations, a gather that is not a suffix, gamma 0 and gamma 1.
-    # At every step they, and the profile built on them, equal a build from
-    # the live entries bit for bit, and a second dataset gets its own
+    # per entry, and the per-entry sums once per entry and V, at the last
+    # three V's asked for; both survive slides, relocations, a gather that is
+    # not a suffix, gamma 0 and gamma 1.  At every step they, and the profile
+    # built on them, equal a build from the live entries bit for bit, and a
+    # second dataset gets its own
     from scorefim import Dataset
     from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_factors
     from scorefim.saem_general import WeightedSampleBuffer, buffer_update
@@ -418,7 +419,7 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
     buf = WeightedSampleBuffer(prune_epsilon=1e-3)
     live, w = [], []  # the entries the buffer should hold, oldest first
     have, current = set(), None  # entries with factors, and for which dataset
-    summed, key = set(), None  # entries with sums, and at which V
+    summed, key = {}, None  # V -> entries with sums there, least recent V first; last V
     bases, suffixes = [], []
     for k, (g, Z) in enumerate(zip(gammas, latents)):
         w = [wl * (1.0 - g) for wl in w] + ([g] if g > 0 else [])
@@ -435,7 +436,7 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
 
         dataset = other if k in (40, 41) else ds
         if dataset is not current:
-            have, current, summed = set(), dataset, set()
+            have, current, summed = set(), dataset, {}
         Y, T, doses = _design_arrays(dataset)
         filled = []
 
@@ -451,7 +452,8 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
         wn = buf.weights / buf.total_weight
 
         # as an M-step: a first evaluation at the V the last one ended on,
-        # which sums only the entries that joined since, then another V
+        # which sums only the entries that joined since, then another V; five
+        # V's in turn, so a V comes back after it was dropped
         def keep_sums(V, fill):
             def counted(Z):
                 filled.append(len(Z))
@@ -460,34 +462,47 @@ def test_buffer_profile_factors_match_a_fresh_build(pk_fixed_v, pk_fixed_v_data,
             return buf.derived("profile_sums", dataset, counted, key=V)
 
         cached = _FusedProfile(Y, factors, wn, keep=keep_sums)
-        for V in (key if key is not None else 29.0, 29.0 + k % 3):
+        for V in (key if key is not None else 29.0, 29.0 + k % 5):
             filled.clear()
             assert cached(V) == _FusedProfile(Y, fresh, wn)(V)
-            if V != key:
-                summed, key = set(), V
-            assert sum(filled) == len(set(live) - summed)
-            summed |= set(live)
+            at_v = summed.pop(V, set())
+            if len(summed) == 3:
+                summed.pop(next(iter(summed)))  # the least recent V is dropped
+            assert sum(filled) == len(set(live) - at_v)
+            summed[V], key = at_v | set(live), V
+            assert buf.derived_keys("profile_sums", dataset) == list(summed)
         assert len(buf) > 1 or k in (0, 30)  # gamma 1 drops every older entry
     assert suffixes.count(False) == 1 and not suffixes[28]  # the gather ran once
     assert len(bases) >= 4  # the first array, two relocations and the gather
     # the M-step on the kept factors and sums equals one on a buffer that
-    # builds them all at once
+    # builds them all at once, at the same three V's
     replay = WeightedSampleBuffer(prune_epsilon=1e-3)
     for g, Z in zip(gammas, latents):
         replay = buffer_update(replay, Z, g)
+    Y, T, doses = _design_arrays(ds)
+    factors = replay.derived("profile_factors", ds, lambda Z: _profile_factors(T, doses, Z))
+    at_once = _FusedProfile(
+        Y, factors, replay.weights / replay.total_weight,
+        keep=lambda V, fill: replay.derived("profile_sums", ds, fill, key=V),
+    )
+    for V in buf.derived_keys("profile_sums", ds):
+        at_once(V)
     np.testing.assert_array_equal(
         pk_fixed_v.maximize_weighted(ds, buf, pk_fixed_v_theta).values,
         pk_fixed_v.maximize_weighted(ds, replay, pk_fixed_v_theta).values,
     )
 
 
-def test_each_mstep_sums_only_the_new_entries_at_its_start(
+def test_each_mstep_checks_one_interpolated_start_on_the_whole_window(
     pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta, monkeypatch
 ):
-    # the profile ends every M-step on the V it returns, and the next M-step
-    # starts there: its first evaluation sums the one entry that joined, every
-    # later evaluation the whole window, and V equals a profile that sums
-    # every entry afresh bit for bit
+    # the buffer keeps the entries' sums at the last three V's evaluated.  An
+    # M-step evaluates the two older V's and its start V0, each on the joining
+    # entry alone.  Under steps 1/k (as after burn-in), after the first
+    # M-steps, most M-steps end on one whole-window evaluation, at the
+    # interpolated step.  Every V returned meets the tolerance on a fresh whole-window
+    # profile, and equals a profile that sums every entry afresh at the same
+    # points bit for bit
     from scorefim.models import pk
     from scorefim.saem_general import WeightedSampleBuffer, buffer_update
 
@@ -507,19 +522,32 @@ def test_each_mstep_sums_only_the_new_entries_at_its_start(
     ds = pk_fixed_v_data
     Y, T, doses = pk._design_arrays(ds)
     latents, _ = _buffer_stack(ds, 30, 54)
-    buf, theta, longer = WeightedSampleBuffer(prune_epsilon=1e-3), pk_fixed_v_theta, 0
+    buf, theta, once = WeightedSampleBuffer(prune_epsilon=1e-3), pk_fixed_v_theta, []
     for k, Z in enumerate(latents):
-        buf = buffer_update(buf, Z, 0.3)
+        buf = buffer_update(buf, Z, 1.0 / (k + 1))
         sizes.clear(), points.clear()
         V0 = float(theta.values[1])
+        kept = [V for V in buf.derived_keys("profile_sums", ds) if V != V0][-2:]
+        effort = dict(buf.mstep_effort)
         theta = pk_fixed_v.maximize_weighted(ds, buf, theta)
-        assert points[0] == V0 and points[-1] == theta.values[1]
-        assert sizes == [len(buf) if k == 0 else 1] + [len(buf)] * (len(points) - 1)
+        V = theta.values[1]
+        start = len(kept) + 1  # the kept points, then V0
+        assert points[:start] == kept + [V0] and points[-1] == V
+        if k > 0:
+            assert sizes[:start] == [1] * start  # only the joining entry
+        whole = sizes[start:] if k > 0 else sizes
+        assert len(sizes) == len(points) and whole == [len(buf)] * len(whole)
+        assert buf.mstep_effort["window_evals"] - effort.get("window_evals", 0) == len(whole)
+        if k >= 3:
+            once.append(len(whole) == 1)
         wn = buf.weights / buf.total_weight
         fresh = pk._FusedProfile(Y, pk._profile_factors(T, doses, buf.latents), wn)
-        assert pk._profile_v(fresh, V0)[0] == theta.values[1]
-        longer += len(points) > 2
-    assert len(buf) > 10 and longer > 10
+        assert abs(fresh(V)[1]) < 1e-8 * (1.0 + abs(fresh(V0)[0]))
+        assert pk._profile_v(fresh, V0, kept)[0] == V
+    assert len(buf) == 30 and sum(once) > len(once) / 2
+    assert buf.mstep_effort["interpolation"] >= sum(once)
+    steps = ("start", "interpolation", "gauss_newton", "secant", "brent")
+    assert sum(buf.mstep_effort[s] for s in steps) == 30
 
 
 def test_pk_core_in_scratch_arrays_matches_its_own_arrays():
@@ -560,9 +588,10 @@ def test_pk_core_in_scratch_arrays_matches_its_own_arrays():
 
 
 def test_profile_v_returns_the_last_v_it_evaluated():
-    # the buffer keeps the entries' sums at the last V evaluated, and the
+    # the buffer keeps the entries' sums at the last V's evaluated, and the
     # next M-step starts at the V returned: they must be one V, on the early
-    # return, the secant, its midpoint step and the Brent fallback alike
+    # return, the interpolated and Gauss-Newton starts and their fallbacks,
+    # the secant, its midpoint step and the Brent fallback alike
     from scorefim.models.pk import _profile_v
 
     def traced(f, grad, curv=None):
@@ -574,22 +603,58 @@ def test_profile_v_returns_the_last_v_it_evaluated():
 
         return evaluate, calls
 
+    def kinked(V):  # slope 2 (V - 30) below V = 35, 10 above
+        return (V - 30.0) ** 2 if V < 35.0 else 25.0 + 10.0 * (V - 35.0)
+
+    # name: f, its derivative, curvature, V0, kept points, the step that ends it
     cases = {
-        "early": (lambda V: (V - 30.0) ** 2, lambda V: 0.0, None, 30.0),
-        "gauss-newton": (lambda V: (V - 30.0) ** 2, lambda V: 2.0 * (V - 30.0), lambda V: 2.0, 40.0),
-        "secant": (
-            lambda V: np.cosh(V / 10.0 - 3.0), lambda V: np.sinh(V / 10.0 - 3.0) / 10.0, None, 38.0
+        "early": (lambda V: (V - 30.0) ** 2, lambda V: 0.0, None, 30.0, (), "start"),
+        "gauss-newton": (
+            lambda V: (V - 30.0) ** 2, lambda V: 2.0 * (V - 30.0), lambda V: 2.0, 40.0, (), "gauss_newton"
         ),
-        "midpoint": (lambda V: np.log(np.cosh(V - 30.0)), lambda V: np.tanh(V - 30.0), None, 40.0),
+        # V(g) = (g + sqrt 10)^2 + 20 is quadratic in g: the interpolate is the root
+        "interpolation": (
+            lambda V: 2.0 / 3.0 * (V - 20.0) ** 1.5 - np.sqrt(10.0) * V,
+            lambda V: np.sqrt(V - 20.0) - np.sqrt(10.0), None, 40.0, (34.0, 37.0), "interpolation",
+        ),
+        # the three derivatives coincide: the Gauss-Newton step instead
+        "equal derivatives": (
+            kinked, lambda V: 2.0 * (V - 30.0) if V < 35.0 else 10.0, lambda V: 1.0,
+            40.0, (36.0, 38.0), "gauss_newton",
+        ),
+        # one kept point only: no interpolation, the probe downhill
+        "one kept point": (
+            lambda V: np.cosh(V / 10.0 - 3.0), lambda V: np.sinh(V / 10.0 - 3.0) / 10.0, None,
+            38.0, (36.0,), "secant",
+        ),
+        # derivatives near 1 put the interpolate far out: it is clipped to 4 V0
+        "clipped interpolation": (
+            lambda V: np.log(np.cosh(V - 30.0)), lambda V: np.tanh(V - 30.0), None,
+            40.0, (36.0, 38.0), "secant",
+        ),
+        "secant": (
+            lambda V: np.cosh(V / 10.0 - 3.0), lambda V: np.sinh(V / 10.0 - 3.0) / 10.0, None, 38.0,
+            (), "secant",
+        ),
+        "midpoint": (
+            lambda V: np.log(np.cosh(V - 30.0)), lambda V: np.tanh(V - 30.0), None, 40.0, (), "secant"
+        ),
         # a derivative that never changes sign leaves the secant stalled
-        "brent": (lambda V: (V - 30.0) ** 2, lambda V: 1.0, None, 40.0),
+        "brent": (lambda V: (V - 30.0) ** 2, lambda V: 1.0, None, 40.0, (), "brent"),
     }
-    for name, (f, grad, curv, V0) in cases.items():
+    for name, (f, grad, curv, V0, kept, step) in cases.items():
         evaluate, calls = traced(f, grad, curv)
-        V, fV = _profile_v(evaluate, V0)
-        assert (V, fV) == calls[-1], name
+        V, fV, how = _profile_v(evaluate, V0, kept)
+        assert (V, fV) == calls[-1] and how == step, name
         Vs = [c[0] for c in calls]
-        assert len(calls) == 1 if name == "early" else len(calls) > 1, name
+        assert Vs[:len(kept) + 1] == [*kept, V0], name
+        assert len(calls) == 1 if name == "early" else len(calls) > len(kept) + 1, name
+        if name == "interpolation":
+            assert len(calls) == 4 and V == pytest.approx(30.0, rel=1e-12)
+        if name == "equal derivatives":
+            assert Vs[3] == 30.0  # V0 - g0 / 1
+        if name == "clipped interpolation":
+            assert Vs[3] == 160.0 and V == pytest.approx(30.0, rel=1e-6)
         if name == "midpoint":
             assert any(Vs[i] == 0.5 * (Vs[i - 1] + Vs[i - 2]) for i in range(2, len(Vs)))
         if name == "brent":
@@ -611,8 +676,8 @@ def test_profile_v_curvature_start_reaches_the_secant_minimum(pk_fixed_v_data):
         if V0 == 100.0:
             assert V0 - g0 / c0 < V0 / 4.0  # the Gauss-Newton step is clipped
         gtol = 1e-8 * (1.0 + abs(f0))
-        V_gn, f_gn = _profile_v(prof, V0)
-        V_probe, _ = _profile_v(probe_only, V0)
+        V_gn, f_gn, _ = _profile_v(prof, V0)
+        V_probe, _, _ = _profile_v(probe_only, V0)
         assert abs(prof(V_gn)[1]) < 10.0 * gtol
         assert f_gn == prof(V_gn)[0]
         assert V_gn == pytest.approx(V_probe, rel=1e-6)

@@ -181,6 +181,38 @@ def test_buffer_memory_follows_the_live_length():
         assert len(buf.latents.base) <= 1.25 * max_buffer_length(sched, k, 1e-3) + 17
 
 
+def test_derived_keeps_the_last_three_keys():
+    # per-entry arrays are kept at the last three keys asked for, the least
+    # recently asked dropped first; each array is filled with the entries
+    # that joined since it was last asked for, and its rows survive slides
+    # and relocations and equal a fresh fill
+    dataset, calls = object(), []
+
+    def fill(key):
+        def rows(Z):
+            calls.append((key, len(Z)))
+            return Z[:, 0, 0] * key
+        return rows
+
+    buf = WeightedSampleBuffer(prune_epsilon=1e-3)
+    live, have, bases = [], {}, set()  # have: key -> entries filled, least recent first
+    for k in range(1, 61):
+        buf = buffer_update(buf, _z(k), 0.3)
+        live = [v for v in live if 0.3 * 0.7 ** (k - v) >= 1e-3] + [k]
+        bases.add(id(buf.latents.base))
+        for key in ([2.0] if k % 3 == 0 else [1.0, 2.0, 3.0 + k // 10]):
+            calls.clear()
+            rows = buf.derived("rows", dataset, fill(key), key=key)
+            at = have.pop(key, set())
+            if len(have) == 3:
+                have.pop(next(iter(have)))
+            assert calls == ([(key, len(set(live) - at))] if set(live) - at else [])
+            have[key] = set(live)
+            np.testing.assert_array_equal(rows, np.array(live, dtype=float) * key)
+        assert buf.derived_keys("rows", dataset) == list(have)
+    assert len(bases) > 2 and buf.derived_keys("rows", object()) == []
+
+
 def test_buffer_rejects_bad_gamma():
     with pytest.raises(DomainViolation):
         buffer_update(WeightedSampleBuffer(), _z(0), 1.5)
@@ -357,6 +389,22 @@ def test_general_fim_psd_and_trajectories(pk_fixed_v, pk_fixed_v_data):
     assert res.fim.is_psd()
     assert "pruned_mass" in res.trajectories
     assert res.trajectories["pruned_mass"][-1] >= 0.0
+
+
+def test_general_run_reports_mstep_effort(pk_fixed_v, pk_fixed_v_data, lmm, lmm_data):
+    # every fixed-V M-step names the step that ended its profile; the
+    # whole-window evaluations are counted beside them, and the first
+    # M-steps, with fewer than three kept V's, cannot interpolate
+    cfg = SaemConfig(schedule=StepSchedule(25, 0.95, 0.6), total_iterations=80, seed=6)
+    res = run_general_saem(pk_fixed_v, pk_fixed_v_data, cfg)
+    effort = res.diagnostics["mstep_effort"]
+    steps = ("start", "interpolation", "gauss_newton", "secant", "brent")
+    assert set(effort) <= {"window_evals", *steps}
+    assert sum(effort.get(s, 0) for s in steps) == 80
+    assert effort["interpolation"] > 0 and effort["window_evals"] >= 80 - effort.get("start", 0)
+    # an exponential-family M-step has no profile to count
+    small = SaemConfig(schedule=StepSchedule(5, 0.95, 0.6), total_iterations=10, seed=6)
+    assert run_general_saem(lmm, lmm_data, small).diagnostics["mstep_effort"] == {}
 
 
 def test_cross_algorithm_consistency(pk, pk_theta):

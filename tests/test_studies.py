@@ -230,6 +230,29 @@ def test_capacity_has_no_effect(tmp_path):
         assert "capacity" not in json.loads((manifest / "manifest.json").read_text())["config"]
 
 
+def test_coverage_manifests_sum_the_fits_diagnostics(tmp_path):
+    # the general algorithm's replicates report wall seconds per phase and
+    # M-step effort; the coverage manifest sums them over the replicates.
+    # EM fits report neither, and the coverage and comparison manifests then
+    # carry neither key
+    raw = preset_config("pk_fixed_v_coverage", desk=True)
+    raw.update(M=2, design={**raw["design"], "n": 6})
+    raw["saem"].update(burn_in=20, total_iterations=60)
+    run_study(parse_study_config(raw), out_dir=tmp_path / "pk", threads=1)
+    manifest = json.loads((tmp_path / "pk" / "coverage" / "manifest.json").read_text())
+    assert set(manifest["phase_s"]) == {"draw", "update", "mstep", "fim"}
+    assert manifest["phase_s"]["mstep"] > 0
+    effort = manifest["mstep_effort"]
+    steps = sum(effort.get(s, 0) for s in ("start", "interpolation", "gauss_newton", "secant", "brent"))
+    assert steps == 2 * 60 and set(effort) <= {"window_evals", "start", "interpolation",
+                                              "gauss_newton", "secant", "brent"}
+    assert effort["window_evals"] >= steps - effort.get("start", 0)
+    for kind in ("coverage", "meng_comparison"):
+        run_study(parse_study_config(_gmm_raw(kind)), out_dir=tmp_path / "gmm", threads=1)
+        manifest = json.loads((tmp_path / "gmm" / kind / "manifest.json").read_text())
+        assert "phase_s" not in manifest and "mstep_effort" not in manifest
+
+
 def test_fixed_v_prune_epsilon_checked_against_the_steps_at_parse_time():
     # at exponent 1 the desk schedule's last steps, 1/1001 to 1/1050, fall
     # below prune_epsilon 1e-3: every replicate would empty its buffer at
