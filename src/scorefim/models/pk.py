@@ -577,9 +577,9 @@ def _profile_v(evaluate, V0, kept=(), max_iter=40):
     if V1 == V0:
         V1 = float(np.clip(V0 + 1e-4 * V0 * (-1.0 if g0 > 0 else 1.0), lo, hi))
     f1, g1, _ = evaluate(V1)
-    Va, ga = min(points, key=lambda p: abs(p[1]))
     if abs(g1) < gtol:
         return V1, f1, first
+    Va, ga = min(points, key=lambda p: abs(p[1]))
     Vb, gb, fb = V1, g1, f1
     for _ in range(max_iter):
         if gb == ga:
