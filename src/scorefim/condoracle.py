@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset
 from .errors import NumericalError
@@ -171,6 +170,9 @@ def _laplace_fit(model, dataset, theta, Z0, report=None):
 
 
 def _mvt_draws(mode, cov, df, size, rng):
+    """``size`` multivariate-t draws centered at ``mode`` and their log density
+    ``logq``, known up to a constant: the t normalizing term in df and d is
+    left out, since it cancels in the self-normalized weights."""
     d = mode.size
     L = np.linalg.cholesky(cov * 1.5)  # inflate for tail cover
     g = rng.standard_normal((size, d))
@@ -180,10 +182,7 @@ def _mvt_draws(mode, cov, df, size, rng):
     sol = np.linalg.solve(L, dev.T).T
     maha = (sol**2).sum(axis=1)
     logdet = 2.0 * np.log(np.diag(L)).sum()
-    logq = (
-        gammaln((df + d) / 2.0) - gammaln(df / 2.0) - 0.5 * d * np.log(df * np.pi)
-        - 0.5 * logdet - 0.5 * (df + d) * np.log1p(maha / df)
-    )
+    logq = -0.5 * logdet - 0.5 * (df + d) * np.log1p(maha / df)
     return draws, logq
 
 

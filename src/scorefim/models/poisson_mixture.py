@@ -8,13 +8,37 @@ derivatives are available as independent code paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from ..data import Dataset
 from ..errors import DimensionMismatch, DomainViolation, MStepFailure
 from ..modelbase import ExpoFamilyModel
 from ..params import ParamVector
+
+
+def _logsumexp(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """log sum_k exp(a_ik) per row of a real (n, K) array, bit for bit the
+    value of scipy 1.17's ``logsumexp(a, axis=1)``.
+
+    The max-separated form of Blanchard, Higham & Higham (2021): with m the
+    count of a row's maximal elements and s the sum of exp(a - max) over the
+    others, log1p(s / m) + log(m) + max.  Where that is not finite (a row
+    that is all -inf, or one holding +inf) it falls back to
+    log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        at_max = a == a_max
+        m = at_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=1, keepdims=True)))
+    return out if keepdims else out[:, 0]
 
 
 class PoissonMixtureModel(ExpoFamilyModel):
@@ -60,12 +84,24 @@ class PoissonMixtureModel(ExpoFamilyModel):
             raise DimensionMismatch("mixture individuals carry a single observation")
         return dataset.y[:, 0]
 
+    def _log_y_factorial(self, dataset: Dataset) -> np.ndarray:
+        """log y_i! per individual, by ``math.lgamma`` (within a few ulp of
+        scipy's ``gammaln``); it does not depend on theta, so it is computed
+        once per dataset and kept read-only."""
+
+        def build():
+            out = np.array([math.lgamma(v + 1.0) for v in self._y(dataset).tolist()])
+            out.setflags(write=False)
+            return out
+
+        return dataset.memo("log_y_factorial", build)
+
     # --- complete data -----------------------------------------------------
     def complete_loglik(self, dataset, Z, theta):
         lam, alpha = self.split(theta)
         y = self._y(dataset)
         z = Z[:, 0].astype(int)
-        return np.log(alpha[z]) + y * np.log(lam[z]) - lam[z] - gammaln(y + 1.0)
+        return np.log(alpha[z]) + y * np.log(lam[z]) - lam[z] - self._log_y_factorial(dataset)
 
     def complete_score(self, dataset, Z, theta):
         lam, alpha = self.split(theta)
@@ -106,7 +142,7 @@ class PoissonMixtureModel(ExpoFamilyModel):
         lam, alpha = self.split(theta)
         y = self._y(dataset)
         logw = np.log(alpha) + y[:, None] * np.log(lam) - lam
-        return np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+        return np.exp(logw - _logsumexp(logw, keepdims=True))
 
     def sample_conditional(self, dataset, theta, rng):
         w = self.posterior(dataset, theta)
@@ -167,7 +203,7 @@ class PoissonMixtureModel(ExpoFamilyModel):
         lam, alpha = self.split(theta)
         y = self._y(dataset)
         logw = np.log(alpha) + y[:, None] * np.log(lam) - lam
-        return logsumexp(logw, axis=1) - gammaln(y + 1.0)
+        return _logsumexp(logw) - self._log_y_factorial(dataset)
 
     def marginal_score(self, dataset, theta):
         """Direct derivatives of log g; independent of the posterior route."""

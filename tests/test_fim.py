@@ -1,4 +1,5 @@
 import io
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -81,20 +82,54 @@ def test_wald_standard_normal_quantile():
         assert ci.lower == pytest.approx(-1.959964, abs=1e-6)
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 1e-3, 1e-6, 1e-9, 1e-12])
-def test_wald_quantile_is_the_normal_ppf_bit_for_bit(alpha):
-    # the intervals take q from scipy.special.ndtri so that importing the
-    # package leaves scipy.stats out; the bounds must stay exactly those of
-    # norm.ppf
-    from scipy.stats import norm
+WALD_ALPHAS = [1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 1e-3, 1e-6, 1e-9, 1e-12]
 
+
+@pytest.mark.parametrize("alpha", WALD_ALPHAS)
+def test_wald_bounds_take_the_stdlib_normal_quantile(alpha):
+    # q comes from statistics.NormalDist, so importing the package leaves
+    # scipy.special out; the bounds are exactly est -/+ q se
     theta = ParamVector(np.array([1.5, -0.3]), ("a", "b"))
     fim = FimMatrix(np.array([[2.0, 0.3], [0.3, 0.7]]), "score", 9, ("a", "b"))
-    q = norm.ppf(1.0 - alpha / 2.0)
+    q = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     for ci, est in zip(wald_confidence_intervals(theta, fim, alpha), theta.values):
         assert ci.se > 0
         assert ci.lower == est - q * ci.se
         assert ci.upper == est + q * ci.se
+
+
+def _wald_quantile(alpha) -> float:
+    # with se = 1 and estimate 0 the upper bound is q itself
+    fim = FimMatrix(np.eye(1), "score", 1, ("a",))
+    (ci,) = wald_confidence_intervals(ParamVector(np.zeros(1), ("a",)), fim, alpha)
+    return ci.upper
+
+
+def test_wald_quantile_within_6_ulp_of_norm_ppf():
+    # not bit for bit: AS241 and scipy's ndtri differ in the last bits.  The
+    # grid is a geometric 1e-6..1 grid with a few hand-picked alphas, the
+    # last two of which give 1 - alpha/2 == 1 (checked separately below)
+    from scipy.stats import norm
+
+    grid = np.concatenate([
+        np.geomspace(1e-6, 1.0, 20_000),
+        [1.0, 0.5, 0.1, 0.05, 0.01, 1e-12, 1e-300, 5e-324],
+        WALD_ALPHAS,
+    ])
+    finite = grid[1.0 - grid / 2.0 < 1.0]
+    assert finite.size == grid.size - 2
+    q = np.array([_wald_quantile(a) for a in finite])
+    ref = norm.ppf(1.0 - finite / 2.0)
+    assert np.all(np.abs(q - ref) <= 6.0 * np.spacing(ref))
+    assert _wald_quantile(0.05) == 1.9599639845400536
+
+
+@pytest.mark.parametrize("alpha", [1e-16, 1e-300, 5e-324])
+def test_wald_bounds_infinite_where_the_level_rounds_to_one(alpha):
+    assert 1.0 - alpha / 2.0 == 1.0
+    theta = ParamVector(np.array([1.5]), ("a",))
+    (ci,) = wald_confidence_intervals(theta, FimMatrix(np.eye(1), "score", 4, ("a",)), alpha)
+    assert ci.lower == -np.inf and ci.upper == np.inf
 
 
 def test_wald_alpha_one_zero_width():

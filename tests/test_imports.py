@@ -5,7 +5,8 @@ and every public one somewhere in the package, its tests or the benchmark.
 The project depends on no linter, so these AST scans are the suite's lint
 check.  A package ``__init__.py`` re-exports what it imports and is skipped
 by the import check.  One check is not static: importing the package in a
-fresh interpreter must leave the heavy scipy subpackages unloaded.
+fresh interpreter must leave scipy.special, scipy.stats and scipy.optimize
+unloaded.
 """
 
 import ast
@@ -99,15 +100,17 @@ def test_no_unreferenced_public_definitions():
     assert not dead, f"unreferenced public definitions: {dead}"
 
 
-def test_import_leaves_out_scipy_stats_and_optimize():
-    # the package needs numpy and scipy.special only; scipy.stats cost about
-    # 1 s of every CLI call, and scipy.optimize loads inside pk._profile_v's
-    # bounded-Brent fallback alone.  A fresh interpreter, since this test
-    # process may already hold either.
+def test_import_leaves_out_scipy_special_stats_and_optimize():
+    # the package needs numpy only.  scipy.stats cost about 1 s of every CLI
+    # call and scipy.special about 0.2 s (its array-API layer loads
+    # numpy.testing and numpy.f2py); scipy.optimize loads inside
+    # pk._profile_v's bounded-Brent fallback alone.  A fresh interpreter,
+    # since this test process may already hold any of them.
+    heavy = ("scipy.special", "scipy.stats", "scipy.optimize")
     code = (
         "import sys\n"
         "import scorefim, scorefim.cli, scorefim.studies\n"
-        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run(

@@ -150,3 +150,77 @@ def test_simulate_mixture_mean(poisson, poisson_theta):
     y = np.array([r.y[0] for r in ds.records])
     se = y.std() / np.sqrt(y.size)
     assert abs(y.mean() - 4.9) < 3.0 * se
+
+
+def _logsumexp_inputs():
+    # random (n, K) rows: ties, magnitudes up to 1e3, -inf entries and
+    # all--inf rows
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        n, K = int(rng.integers(1, 20)), int(rng.integers(1, 7))
+        a = rng.normal(size=(n, K)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.5:
+            a = np.round(a, int(rng.integers(0, 2)))
+        if rng.random() < 0.4:
+            a[rng.random((n, K)) < 0.3] = -np.inf
+        if rng.random() < 0.3:
+            a[rng.integers(n)] = -np.inf
+        yield a
+
+
+@pytest.mark.parametrize("keepdims", [True, False])
+def test_logsumexp_is_scipys_bit_for_bit(keepdims):
+    from scipy.special import logsumexp
+
+    from scorefim.models.poisson_mixture import _logsumexp
+
+    seen_ties = seen_dead_rows = 0
+    for a in _logsumexp_inputs():
+        out = _logsumexp(a, keepdims=keepdims)
+        assert np.array_equal(out, logsumexp(a, axis=1, keepdims=keepdims))
+        seen_ties += int(((a == a.max(axis=1, keepdims=True)).sum(axis=1) > 1).any())
+        seen_dead_rows += int(np.isneginf(a).all(axis=1).any())
+    assert seen_ties > 50 and seen_dead_rows > 50
+    assert np.array_equal(_logsumexp(np.full((2, 3), -np.inf)), [-np.inf, -np.inf])
+
+
+def test_posterior_and_marginal_derivatives_match_the_scipy_forms(
+    monkeypatch, poisson, poisson_data, poisson_theta
+):
+    # the same model code with scipy's logsumexp put back gives the same bits,
+    # on the simulated data and on the exact-FIM support 0..189
+    from scipy.special import logsumexp
+
+    from scorefim.models import poisson_mixture
+
+    support = Dataset.from_arrays(np.arange(190.0)[:, None])
+    names = ("posterior", "marginal_score", "marginal_hessian")
+    ours = [getattr(poisson, f)(ds, poisson_theta) for ds in (poisson_data, support) for f in names]
+    monkeypatch.setattr(
+        poisson_mixture, "_logsumexp",
+        lambda a, keepdims=False: logsumexp(a, axis=1, keepdims=keepdims),
+    )
+    theirs = [getattr(poisson, f)(ds, poisson_theta) for ds in (poisson_data, support) for f in names]
+    for a, b in zip(ours, theirs):
+        assert np.array_equal(a, b)
+
+
+def test_log_y_factorial_is_kept_per_dataset(poisson, poisson_data, poisson_theta):
+    # log y! by math.lgamma, within a few ulp of scipy's gammaln, computed
+    # once per dataset and read-only
+    from scipy.special import gammaln
+
+    y = poisson_data.y[:, 0]
+    kept = poisson._log_y_factorial(poisson_data)
+    assert poisson._log_y_factorial(poisson_data) is kept and not kept.flags.writeable
+    np.testing.assert_allclose(kept, gammaln(y + 1.0), rtol=4 * np.finfo(float).eps, atol=0)
+    # the log-likelihoods move by no more than those few ulp of log y!
+    from scipy.special import logsumexp
+
+    lam, alpha = poisson.split(poisson_theta)
+    logw = np.log(alpha) + y[:, None] * np.log(lam) - lam
+    atol = 4 * np.finfo(float).eps * np.abs(kept).max()
+    np.testing.assert_allclose(
+        poisson.marginal_loglik(poisson_data, poisson_theta),
+        logsumexp(logw, axis=1) - gammaln(y + 1.0), rtol=0, atol=atol,
+    )
