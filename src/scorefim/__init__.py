@@ -6,6 +6,12 @@ approximation EM otherwise, with observed-information comparators and a
 reproducible simulation-study harness.
 """
 
+# numpy loads these two on first use (np.random, and np.median's NaN check);
+# loading them here lets forked study workers inherit them, where each would
+# otherwise import them inside its first replicate
+import numpy.ma
+import numpy.random
+
 from .data import Dataset, Design, IndividualRecord, read_dataset_csv, write_dataset_csv
 from .fim import (
     FimMatrix,
