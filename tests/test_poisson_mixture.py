@@ -208,15 +208,13 @@ def test_posterior_and_marginal_derivatives_match_the_scipy_forms(
 def test_log_y_factorial_is_kept_per_dataset(poisson, poisson_data, poisson_theta):
     # log y! by math.lgamma, within a few ulp of scipy's gammaln, computed
     # once per dataset and read-only
-    from scipy.special import gammaln
+    from scipy.special import gammaln, logsumexp
 
     y = poisson_data.y[:, 0]
     kept = poisson._log_y_factorial(poisson_data)
     assert poisson._log_y_factorial(poisson_data) is kept and not kept.flags.writeable
     np.testing.assert_allclose(kept, gammaln(y + 1.0), rtol=4 * np.finfo(float).eps, atol=0)
     # the log-likelihoods move by no more than those few ulp of log y!
-    from scipy.special import logsumexp
-
     lam, alpha = poisson.split(poisson_theta)
     logw = np.log(alpha) + y[:, None] * np.log(lam) - lam
     atol = 4 * np.finfo(float).eps * np.abs(kept).max()
