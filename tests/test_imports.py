@@ -100,23 +100,33 @@ def test_no_unreferenced_public_definitions():
     assert not dead, f"unreferenced public definitions: {dead}"
 
 
-def test_import_leaves_out_scipy_special_stats_and_optimize():
-    # the package needs numpy only.  scipy.stats cost about 1 s of every CLI
-    # call and scipy.special about 0.2 s (its array-API layer loads
-    # numpy.testing and numpy.f2py); scipy.optimize loads inside
-    # pk._profile_v's bounded-Brent fallback alone.  A fresh interpreter,
-    # since this test process may already hold any of them.
-    heavy = ("scipy.special", "scipy.stats", "scipy.optimize")
+def _loaded_at_import(modules) -> list[str]:
+    """Those of ``modules`` that importing the package loads, seen in a fresh
+    interpreter, since this test process may already hold any of them."""
     code = (
         "import sys\n"
         "import scorefim, scorefim.cli, scorefim.studies\n"
-        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
+        f"print(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.split() == [], f"imported at package import: {proc.stdout.split()}"
+    return proc.stdout.split()
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # scipy.stats cost about 1 s of every CLI call; scipy.optimize loads
+    # inside pk._profile_v's bounded-Brent fallback alone
+    loaded = _loaded_at_import(("scipy.stats", "scipy.optimize"))
+    assert loaded == [], f"imported at package import: {loaded}"
+
+
+def test_import_leaves_out_scipy_special_stats_and_optimize():
+    # the package needs numpy only: scipy.special cost about 0.2 s of every
+    # process (its array-API layer loads numpy.testing and numpy.f2py)
+    loaded = _loaded_at_import(("scipy.special", "scipy.stats", "scipy.optimize"))
+    assert loaded == [], f"imported at package import: {loaded}"
 
 
 def test_only_run_study_writes_study_files():
