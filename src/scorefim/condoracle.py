@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .fim import FimMatrix, _symmetrize_exact
+from .fim import _MC_BLOCK, FimMatrix, _carried_sum, _symmetrize_exact
 from .modelbase import LatentModel
 from .parallel import pmap
 from .params import ParamVector
@@ -191,12 +191,19 @@ def _individual_moments(task):
 
     ``task`` carries the individual's one record and its Laplace mode and
     covariance, not the dataset; its draws come from stream (seed, 2, i), so
-    the result does not depend on which process computes it.
+    the result does not depend on which process computes it.  The model is
+    evaluated _MC_BLOCK draws at a time, each block on a dataset of its own
+    kept from the weight pass to the moment pass, so its score and Hessian
+    reuse what its log-likelihood call kept (the PK residual sums); E[H | y]
+    is summed block by block in draw order.
     """
     model, record, theta, mode, cov, i, n_draws, seed, df, min_ess, with_hessian = task
     draws, logq = _mvt_draws(mode, cov, df, n_draws, substream(seed, 2, i))
-    rep = Dataset.replicate(record, n_draws)
-    logf = model.complete_loglik(rep, draws, theta)
+    blocks = [
+        (slice(s, s + _MC_BLOCK), Dataset.replicate(record, min(_MC_BLOCK, n_draws - s)))
+        for s in range(0, n_draws, _MC_BLOCK)
+    ]
+    logf = np.concatenate([model.complete_loglik(rep, draws[b], theta) for b, rep in blocks])
     lw = logf - logq
     lw -= lw.max()
     w = np.exp(lw)
@@ -210,13 +217,15 @@ def _individual_moments(task):
     # NaN score or Hessian; zero those rows in place rather than drop them, so
     # that 0 x NaN cannot spoil the moments and the summation order stays
     dead = w == 0
-    sc = model.complete_score(rep, draws, theta)
+    sc = np.empty((n_draws, theta.p))
+    ehess = np.zeros((theta.p, theta.p)) if with_hessian else None
+    for b, rep in blocks:
+        sc[b] = model.complete_score(rep, draws[b], theta)
+        if with_hessian:
+            hess = model.complete_hessian(rep, draws[b], theta)
+            hess[dead[b]] = 0.0
+            ehess = _carried_sum(np.multiply(w[b, None, None], hess, out=hess), ehess)
     sc[dead] = 0.0
-    ehess = None
-    if with_hessian:
-        hess = model.complete_hessian(rep, draws, theta)
-        hess[dead] = 0.0
-        ehess = np.einsum("b,bjk->jk", w, hess)
     return w @ sc, np.einsum("b,bj,bk->jk", w, sc, sc), ehess, ess
 
 
@@ -241,9 +250,11 @@ def conditional_moments(
     processes, one task per individual carrying its mode and covariance; the
     proposal draws of individual i come from stream (seed, 2, i) and results
     are stacked in index order, so the moments are bitwise the same for any
-    worker count.  An individual whose importance weights have an ESS below
-    ``min_ess`` raises NumericalError; when several do, the error names the
-    first in index order.
+    worker count.  A task's draws are evaluated in blocks of _MC_BLOCK, so
+    its working set is bounded by the block, not by the draws, apart from a
+    few vectors of one entry or one score per draw.  An individual whose
+    importance weights have an ESS below ``min_ess`` raises NumericalError;
+    when several do, the error names the first in index order.
     """
     with_hessian = with_hessian and model.has_complete_hessian
     z_start = model.initial_latents(dataset, theta, substream(seed, 12345))

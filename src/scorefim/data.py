@@ -104,8 +104,9 @@ class Dataset:
 
     ``Dataset(records)`` builds the columns from checked IndividualRecords,
     ``Dataset.from_arrays`` from arrays, and ``Dataset.replicate`` from one
-    record repeated.  ``latent_truth`` optionally retains the simulated latent
-    values, one row per individual; estimators never read it.
+    record repeated; ``rows`` views a range of rows.  ``latent_truth``
+    optionally retains the simulated latent values, one row per individual;
+    estimators never read it.
     """
 
     def __init__(self, records, latent_truth=None):
@@ -197,6 +198,20 @@ class Dataset:
         if self.latent_truth is not None:
             truth = self.latent_truth[list(indices)]
         return Dataset(tuple(self.records[i] for i in indices), latent_truth=truth)
+
+    def rows(self, start: int, stop: int) -> "Dataset":
+        """Rows start:stop as a dataset viewing these columns, all J slots
+        kept; it builds no records and runs no checks (the columns passed
+        them)."""
+        cut = slice(start, stop)
+        out = Dataset.__new__(Dataset)
+        out._set(
+            self.y[cut], self._n_obs[cut],
+            None if self.times is None else self.times[cut],
+            None if self.doses is None else self.doses[cut],
+            None if self.latent_truth is None else self.latent_truth[cut],
+        )
+        return out
 
     def memo(self, key: str, builder):
         """Cache a derived view on this immutable dataset (columns never change)."""

@@ -38,6 +38,23 @@ PROVENANCES = (
 )
 _PSD_PROVENANCES = {"score", "conditional-score", "sa-byproduct"}
 
+# draws per block of the Monte-Carlo references: a block's (B, p, p) arrays
+# take 8 p^2 bytes per draw each, so the two a block holds at once (about
+# 1.6 MB at p = 7) stay in a 2 MiB L2 cache
+_MC_BLOCK = 2048
+
+
+def _carried_sum(block: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``total`` plus the sum over axis 0 of ``block``, a C-contiguous
+    (B, ...) array of more than one entry per row, which is overwritten.
+
+    numpy sums axis 0 of such an array row by row from zero, so adding the
+    running total into the first row continues it: the blocks of x carried
+    in turn from zeros give x.sum(axis=0) bit for bit.
+    """
+    block[0] += total
+    return block.sum(axis=0)
+
 
 @dataclass(frozen=True)
 class FimMatrix:
@@ -164,7 +181,11 @@ def mc_reference_fim(
 
     Draws are partitioned into chunks with independent keyed streams and the
     partial sums reduced in fixed chunk order, so a parallel schedule cannot
-    change the result.  Per-entry Monte-Carlo standard errors are attached.
+    change the result.  Within a chunk the scores and their outer products
+    are formed _MC_BLOCK rows at a time and summed in row order, so the
+    working set is bounded by the block, not by the draws, and the result is
+    the one a whole-chunk sum gives.  Per-entry Monte-Carlo standard errors
+    are attached.
     """
     if n_draws < 10_000:
         raise DomainViolation("mc_reference_fim needs at least 1e4 draws", component="n_draws")
@@ -179,10 +200,15 @@ def mc_reference_fim(
         rng = substream(seed, 1, chunk)
         sub = Design(n=m, n_obs=design.n_obs, times=design.times, dose=design.dose)
         ds = model.simulate(theta, sub, rng)
-        s = model.marginal_score(ds, theta)
-        outer = np.einsum("ij,ik->ijk", s, s)
-        sum1 += outer.sum(axis=0)
-        sum2 += (outer**2).sum(axis=0)
+        part1 = np.zeros((p, p))
+        part2 = np.zeros((p, p))
+        for start in range(0, m, _MC_BLOCK):
+            s = model.marginal_score(ds.rows(start, start + _MC_BLOCK), theta)
+            outer = np.einsum("ij,ik->ijk", s, s)
+            part2 = _carried_sum(outer**2, part2)
+            part1 = _carried_sum(outer, part1)
+        sum1 += part1
+        sum2 += part2
         done += m
         chunk += 1
     mean = sum1 / n_draws

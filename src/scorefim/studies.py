@@ -505,7 +505,9 @@ def _replication_worker(payload):
 def _replication_study(config: StudyConfig, threads: int):
     """M independent stochastic runs on one fixed dataset; per-iteration mean
     relative bias and relative dispersion of the FIM diagonals against the
-    conditional-expectation Monte-Carlo reference."""
+    conditional-expectation Monte-Carlo reference.  The oracle draws
+    min(n_mc, 200000) times per individual, recorded as ``oracle_draws`` in
+    the manifest."""
     model = _model_for(config)
     rng = substream(config.seed, _GROUP_DATA, 0)
     ds = model.simulate(config.theta_star, config.design, rng)
@@ -528,10 +530,10 @@ def _replication_study(config: StudyConfig, threads: int):
         theta_ref = model.make_params(np.mean([r["theta"] for r in ok], axis=0))
     else:
         theta_ref = model.make_params(np.asarray(config.reference_theta))
+    oracle_draws = min(config.n_mc, 200_000)
     t0 = time.perf_counter()
     moments = conditional_moments(
-        model, ds, theta_ref, n_draws=min(config.n_mc, 200_000), seed=config.seed,
-        threads=threads,
+        model, ds, theta_ref, n_draws=oracle_draws, seed=config.seed, threads=threads,
     )
     oracle_s = time.perf_counter() - t0
     ref_sco, ref_obs = reference_fims(moments, model.param_names, ds.n)
@@ -587,6 +589,7 @@ def _replication_study(config: StudyConfig, threads: int):
         "failures": failures,
         "failure_reasons": failure_reasons,
         "reference_theta": theta_ref.values.tolist(),
+        "oracle_draws": oracle_draws,
         "oracle_min_ess": float(moments.ess.min()),
         "replicates_s": round(replicates_s, 3),
         **_summed_diagnostics(ok),

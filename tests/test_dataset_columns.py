@@ -236,6 +236,17 @@ def test_mc_reference_fim_builds_no_records(poisson, poisson_theta, record_count
     assert record_count["n"] == 0
 
 
+def test_rows_view_a_range_of_rows(pk, pk_theta, record_count):
+    ds = simulate_dataset(pk, pk_theta, Design(n=7, times=PK_TIMES, dose=320.0), seed=16)
+    part = ds.rows(2, 5)
+    assert part.n == 3 and record_count["n"] == 0
+    for name in ("y", "times", "doses", "latent_truth"):
+        assert np.array_equal(getattr(part, name), getattr(ds, name)[2:5]), name
+    assert np.array_equal(part.n_obs(), ds.n_obs()[2:5])
+    assert not part.y.flags.writeable and np.shares_memory(part.y, ds.y)
+    assert ds.rows(5, 99).n == 2
+
+
 @pytest.mark.parametrize("model_name, theta_name, data_name", [
     ("pk", "pk_theta", "pk_data"), ("pk_fixed_v", "pk_fixed_v_theta", "pk_fixed_v_data"),
 ])

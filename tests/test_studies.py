@@ -287,6 +287,7 @@ def test_pk_replication_threads_deterministic(tmp_path):
         a, b = (tmp_path / t / "saem_replication" / name for t in ("1", "2"))
         assert a.read_bytes() == b.read_bytes(), name
     manifest = json.loads((tmp_path / "2" / "saem_replication" / "manifest.json").read_text())
+    assert manifest["oracle_draws"] == 2_000
     assert manifest["replicates_s"] > 0 and manifest["oracle_s"] > 0
     assert 0 <= manifest["oracle_fit_s"] <= manifest["oracle_s"]
     # each run's phases fit in its own time, and the two runs share two workers
@@ -310,6 +311,26 @@ def _pk_replication_raw():
     raw.update(M=3, n_mc=2_000, design={**raw["design"], "n": 8})
     raw["saem"].update(burn_in=20, total_iterations=60)
     return raw
+
+
+def test_pk_replication_manifest_records_the_capped_oracle_draws(tmp_path, monkeypatch):
+    # a config without n_mc echoes the default 1e6; the oracle draws 2e5
+    from scorefim import studies
+
+    raw = _pk_replication_raw()
+    del raw["n_mc"]
+    raw.update(M=2)
+    asked, oracle = [], studies.conditional_moments
+
+    def cheap_oracle(*args, n_draws, **kwargs):
+        asked.append(n_draws)
+        return oracle(*args, n_draws=2_000, **kwargs)
+
+    monkeypatch.setattr(studies, "conditional_moments", cheap_oracle)
+    run_study(parse_study_config(raw), out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "saem_replication" / "manifest.json").read_text())
+    assert asked == [200_000]
+    assert manifest["config"]["n_mc"] == 1_000_000 and manifest["oracle_draws"] == 200_000
 
 
 @pytest.mark.parametrize("raw, patched, subdir", [
