@@ -38,6 +38,7 @@ _NEWTON_TOL = 1e-8  # a row has converged once its Newton step is below this
 _MAX_STEP = 1.0  # largest step per row and coordinate
 _MAX_HALVINGS = 40
 _EIG_FLOOR = 1e-4  # eigenvalue floor of the curvature
+_T_DF = 5.0  # degrees of freedom of the multivariate-t proposal
 
 
 @dataclass(frozen=True)
@@ -169,20 +170,21 @@ def _laplace_fit(model, dataset, theta, Z0, report=None):
     return modes, covs
 
 
-def _mvt_draws(mode, cov, df, size, rng):
-    """``size`` multivariate-t draws centered at ``mode`` and their log density
-    ``logq``, known up to a constant: the t normalizing term in df and d is
-    left out, since it cancels in the self-normalized weights."""
+def _mvt_draws(mode, cov, size, rng):
+    """``size`` multivariate-t draws (_T_DF degrees of freedom) centered at
+    ``mode`` and their log density ``logq``, known up to a constant: the t
+    normalizing term in df and d is left out, since it cancels in the
+    self-normalized weights."""
     d = mode.size
     L = np.linalg.cholesky(cov * 1.5)  # inflate for tail cover
     g = rng.standard_normal((size, d))
-    chi = rng.chisquare(df, size=size)
-    draws = mode + (g @ L.T) / np.sqrt(chi / df)[:, None]
+    chi = rng.chisquare(_T_DF, size=size)
+    draws = mode + (g @ L.T) / np.sqrt(chi / _T_DF)[:, None]
     dev = draws - mode
     sol = np.linalg.solve(L, dev.T).T
     maha = (sol**2).sum(axis=1)
     logdet = 2.0 * np.log(np.diag(L)).sum()
-    logq = -0.5 * logdet - 0.5 * (df + d) * np.log1p(maha / df)
+    logq = -0.5 * logdet - 0.5 * (_T_DF + d) * np.log1p(maha / _T_DF)
     return draws, logq
 
 
@@ -197,8 +199,8 @@ def _individual_moments(task):
     reuse what its log-likelihood call kept (the PK residual sums); E[H | y]
     is summed block by block in draw order.
     """
-    model, record, theta, mode, cov, i, n_draws, seed, df, min_ess, with_hessian = task
-    draws, logq = _mvt_draws(mode, cov, df, n_draws, substream(seed, 2, i))
+    model, record, theta, mode, cov, i, n_draws, seed, min_ess = task
+    draws, logq = _mvt_draws(mode, cov, n_draws, substream(seed, 2, i))
     blocks = [
         (slice(s, s + _MC_BLOCK), Dataset.replicate(record, min(_MC_BLOCK, n_draws - s)))
         for s in range(0, n_draws, _MC_BLOCK)
@@ -217,11 +219,12 @@ def _individual_moments(task):
     # NaN score or Hessian; zero those rows in place rather than drop them, so
     # that 0 x NaN cannot spoil the moments and the summation order stays
     dead = w == 0
+    has_hessian = model.has_complete_hessian
     sc = np.empty((n_draws, theta.p))
-    ehess = np.zeros((theta.p, theta.p)) if with_hessian else None
+    ehess = np.zeros((theta.p, theta.p)) if has_hessian else None
     for b, rep in blocks:
         sc[b] = model.complete_score(rep, draws[b], theta)
-        if with_hessian:
+        if has_hessian:
             hess = model.complete_hessian(rep, draws[b], theta)
             hess[dead[b]] = 0.0
             ehess = _carried_sum(np.multiply(w[b, None, None], hess, out=hess), ehess)
@@ -235,9 +238,7 @@ def conditional_moments(
     theta: ParamVector,
     n_draws: int = 100_000,
     seed: int = 0,
-    df: float = 5.0,
     min_ess: float = 200.0,
-    with_hessian: bool = True,
     threads: int = 1,
 ) -> ConditionalMoments:
     """Per-individual conditional moments at theta by Laplace-IS.
@@ -256,20 +257,19 @@ def conditional_moments(
     importance weights have an ESS below ``min_ess`` raises NumericalError;
     when several do, the error names the first in index order.
     """
-    with_hessian = with_hessian and model.has_complete_hessian
     z_start = model.initial_latents(dataset, theta, substream(seed, 12345))
     fit = {}
     t0 = time.perf_counter()
     modes, covs = _laplace_fit(model, dataset, theta, z_start, report=fit)
     fit_s = time.perf_counter() - t0
     tasks = [
-        (model, record, theta, modes[i], covs[i], i, n_draws, seed, df, min_ess, with_hessian)
+        (model, record, theta, modes[i], covs[i], i, n_draws, seed, min_ess)
         for i, record in enumerate(dataset.records)
     ]
     escore, eouter, ehess, ess = zip(*pmap(_individual_moments, tasks, threads))
     return ConditionalMoments(
         np.stack(escore), np.stack(eouter),
-        np.stack(ehess) if with_hessian else None, np.array(ess),
+        np.stack(ehess) if model.has_complete_hessian else None, np.array(ess),
         fit_s=fit_s, newton_iterations=fit["iterations"],
         mirror_refits=fit["mirror_refits"], unconverged=fit["unconverged"],
     )

@@ -40,7 +40,7 @@ class AsymmetricInput(ConfigError):
 
 
 class ProviderFailure(NumericalError):
-    """A conditional-expectation provider returned non-finite values."""
+    """A model's conditional expectation of the score is non-finite."""
 
 
 class SingularFim(NumericalError):
@@ -58,10 +58,3 @@ class MStepFailure(NumericalError):
         super().__init__(message)
         self.stats = stats
 
-
-class OptimFailure(NumericalError):
-    """Numeric maximization did not reach the required gradient norm."""
-
-    def __init__(self, message, grad_norm=None):
-        super().__init__(message)
-        self.grad_norm = grad_norm

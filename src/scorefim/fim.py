@@ -42,6 +42,8 @@ _PSD_PROVENANCES = {"score", "conditional-score", "sa-byproduct"}
 # take 8 p^2 bytes per draw each, so the two a block holds at once (about
 # 1.6 MB at p = 7) stay in a 2 MiB L2 cache
 _MC_BLOCK = 2048
+_HESSIAN_SYMMETRY_TOL = 1e-10  # relative asymmetry observed_fim accepts
+_COND_LIMIT = 1e12  # largest condition number invert_fim inverts
 
 
 def _carried_sum(block: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -120,11 +122,11 @@ def score_outer_fim(scores, names: tuple[str, ...] = (), provenance: str = "scor
     return FimMatrix(_symmetrize_exact(entries), provenance, n, names)
 
 
-def observed_fim(hessians, names: tuple[str, ...] = (), tol: float = 1e-10) -> FimMatrix:
+def observed_fim(hessians, names: tuple[str, ...] = ()) -> FimMatrix:
     """-(1/n) sum_i H_i from observed-data Hessians.
 
-    Inputs must be symmetric to within ``tol``; the result is exactly
-    symmetrized but never PSD-projected.
+    Inputs must be symmetric to within _HESSIAN_SYMMETRY_TOL; the result is
+    exactly symmetrized but never PSD-projected.
     """
     H = np.asarray(hessians, dtype=float)
     if H.ndim != 3 or H.shape[1] != H.shape[2]:
@@ -134,7 +136,7 @@ def observed_fim(hessians, names: tuple[str, ...] = (), tol: float = 1e-10) -> F
         raise DimensionMismatch("need at least one Hessian")
     skew = np.max(np.abs(H - np.transpose(H, (0, 2, 1))))
     scale = max(np.max(np.abs(H)), 1.0)
-    if skew > tol * scale:
+    if skew > _HESSIAN_SYMMETRY_TOL * scale:
         raise AsymmetricInput(f"Hessian asymmetry {skew:.3e} beyond tolerance")
     entries = -H.mean(axis=0)
     # pairwise summation rounds even on constant input; the average of a
@@ -148,21 +150,12 @@ def conditional_score_fim(
     model: LatentModel,
     dataset: Dataset,
     theta: ParamVector,
-    cond_expectation_provider=None,
 ) -> FimMatrix:
-    """Score-based FIM from exact conditional expectations of the complete score.
-
-    The provider must return E[d/dtheta log f(y_i, Z_i; theta) | y_i] per
-    individual, shape (n, p); defaults to the model's analytic expression.
+    """Score-based FIM from the model's analytic conditional expectations
+    E[d/dtheta log f(y_i, Z_i; theta) | y_i] of the complete score, shape (n, p).
     """
     validate_params(model, theta)
-    if cond_expectation_provider is None:
-        cond_expectation_provider = model.conditional_expected_score
-    e = np.asarray(cond_expectation_provider(dataset, theta), dtype=float)
-    if e.shape != (dataset.n, theta.p):
-        raise DimensionMismatch(
-            f"provider returned shape {e.shape}, expected {(dataset.n, theta.p)}"
-        )
+    e = np.asarray(model.conditional_expected_score(dataset, theta), dtype=float)
     if not np.all(np.isfinite(e)):
         bad = int(np.where(~np.isfinite(e).all(axis=1))[0][0])
         raise ProviderFailure(f"non-finite conditional expectation for individual {bad}")
@@ -219,11 +212,11 @@ def mc_reference_fim(
     )
 
 
-def invert_fim(entries: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
+def invert_fim(entries: np.ndarray) -> np.ndarray:
     """Inverse via symmetric eigendecomposition with explicit singularity reporting."""
     w, v = np.linalg.eigh(entries)
     wmax = float(np.max(np.abs(w)))
-    if wmax == 0.0 or np.min(np.abs(w)) < wmax / cond_limit:
+    if wmax == 0.0 or np.min(np.abs(w)) < wmax / _COND_LIMIT:
         raise SingularFim(
             "information matrix numerically singular", eigenvalues=w.copy()
         )

@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import DomainViolation
 
+_GRID_SIZE = 512  # points of the density grid
+
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """0.9 min(sd, IQR/1.34) M^(-1/5), floored for degenerate samples."""
@@ -21,18 +23,15 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * spread * s.size ** (-0.2)
 
 
-def gaussian_kde(
-    samples: np.ndarray, grid_size: int = 512, bandwidth: float | None = None
-):
-    """(grid, density) of the kernel estimate on an equispaced grid.
+def gaussian_kde(samples: np.ndarray):
+    """(grid, density) of the kernel estimate at Silverman's bandwidth on an
+    equispaced grid of _GRID_SIZE points.
 
     The grid spans the sample range plus three bandwidths on each side.
     """
     s = np.asarray(samples, dtype=float)
-    h = silverman_bandwidth(s) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise DomainViolation("bandwidth must be positive")
-    grid = np.linspace(s.min() - 3.0 * h, s.max() + 3.0 * h, grid_size)
+    h = silverman_bandwidth(s)
+    grid = np.linspace(s.min() - 3.0 * h, s.max() + 3.0 * h, _GRID_SIZE)
     u = (grid[:, None] - s[None, :]) / h
     dens = np.exp(-0.5 * u**2).sum(axis=1) / (s.size * h * np.sqrt(2.0 * np.pi))
     return grid, dens

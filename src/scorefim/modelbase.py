@@ -143,17 +143,6 @@ class ExpoFamilyModel(LatentModel):
     def argmax_complete(self, dataset: Dataset, stats: np.ndarray) -> ParamVector:
         """theta-hat(s): maximizer of sum_i [-psi_i(theta) + <s_i, phi_i(theta)>]."""
 
-    def conditional_stat_expectation(self, dataset: Dataset, theta: ParamVector) -> np.ndarray:
-        """E[S_i(Z_i) | y_i; theta] when analytic (exact E-step)."""
-        raise NotImplementedError
-
-    @property
-    def has_exact_estep(self) -> bool:
-        return (
-            type(self).conditional_stat_expectation
-            is not ExpoFamilyModel.conditional_stat_expectation
-        )
-
 
 def validate_params(model: LatentModel, theta: ParamVector) -> None:
     """Full parameter validation: dimension first, then the model's domain."""

@@ -207,11 +207,13 @@ class PoissonMixtureModel(ExpoFamilyModel):
 
     def marginal_score(self, dataset, theta):
         """Direct derivatives of log g; independent of the posterior route."""
+        return self._marginal_score(self._y(dataset), theta, self.posterior(dataset, theta))
+
+    def _marginal_score(self, y, theta, w):
+        """The marginal score from the class probabilities ``w``."""
         lam, alpha = self.split(theta)
-        y = self._y(dataset)
-        w = self.posterior(dataset, theta)
         u = y[:, None] / lam - 1.0
-        out = np.empty((dataset.n, self.p))
+        out = np.empty((y.size, self.p))
         out[:, : self.K] = w * u
         out[:, self.K :] = w[:, :-1] / alpha[:-1] - (w[:, -1] / alpha[-1])[:, None]
         return out
@@ -221,8 +223,7 @@ class PoissonMixtureModel(ExpoFamilyModel):
         y = self._y(dataset)
         w = self.posterior(dataset, theta)
         u = y[:, None] / lam - 1.0
-        s = self.marginal_score(dataset, theta)
-        n = dataset.n
+        s = self._marginal_score(y, theta, w)
         H = -np.einsum("ij,ik->ijk", s, s)
         for k in range(self.K):
             H[:, k, k] += w[:, k] * (u[:, k] ** 2 - y / lam[k] ** 2)

@@ -78,7 +78,6 @@ class SaemConfig:
     proposal_scales: np.ndarray | None = None
     seed: int = 0
     averaging: str = "off"  # off | on_after_burn_in
-    exact_estep: bool = False
     track_louis: bool = False
     thin: int = 1
 
@@ -105,7 +104,7 @@ class SaemState:
     k: int
     theta: ParamVector
     stats: np.ndarray  # (n, m)
-    latents: np.ndarray | None  # (n, d)
+    latents: np.ndarray  # (n, d)
     stat_average: np.ndarray | None = None
     avg_count: int = 0
     stat_history_min: np.ndarray | None = None
@@ -318,12 +317,8 @@ def run_saem(
     """
     if not isinstance(model, ExpoFamilyModel):
         raise ConfigError("run_saem needs a curved-exponential model")
-    if config.exact_estep and not model.has_exact_estep:
-        raise ConfigError(f"{model.name} has no analytic conditional expectations")
     if config.track_louis and not model.has_complete_hessian:
         raise ConfigError(f"{model.name} exposes no complete Hessian for the Louis comparator")
-    if config.track_louis and config.exact_estep:
-        raise ConfigError("the Louis comparator needs simulated draws, not exact E-steps")
 
     run = _SaemRun(model, dataset, config, theta0)
     n, p = dataset.n, model.p
@@ -347,12 +342,8 @@ def run_saem(
     # the relaxations run in place; arrays the model returns are only read
     for k in range(1, config.total_iterations + 1):
         gamma = step_size(k, config.schedule)
-        if config.exact_estep:
-            new_stats = model.conditional_stat_expectation(dataset, state.theta)
-            run.lap("draw")
-        else:
-            Z = run.draw(k, state.theta)
-            new_stats = model.statistics(dataset, Z)
+        Z = run.draw(k, state.theta)
+        new_stats = model.statistics(dataset, Z)
 
         state.stats *= 1.0 - gamma
         state.stats += gamma * new_stats
@@ -391,7 +382,7 @@ def run_saem(
                 state.stat_average = state.stats.copy()
             else:
                 state.stat_average += (state.stats - state.stat_average) / state.avg_count
-        state.latents = None if config.exact_estep else Z
+        state.latents = Z
         run.lap("update")
 
         if run.due(k):

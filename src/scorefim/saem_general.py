@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DomainViolation, MStepFailure, OptimFailure
+from .errors import ConfigError, DomainViolation, MStepFailure
 from .fim import FimMatrix, score_outer_fim
 from .modelbase import ExpoFamilyModel, LatentModel
 from .params import ParamVector
-from .saem import SaemConfig, StepSchedule, _SaemRun, step_size
+from .saem import SaemConfig, _SaemRun, step_size
 
 PRUNE_EPSILON = 1e-6  # default weight below which a buffer entry is pruned
 _KEPT_KEYS = 3  # keys ``derived`` keeps arrays at, per name
@@ -141,39 +141,15 @@ def buffer_update(buffer: WeightedSampleBuffer, z_k: np.ndarray, gamma_k: float)
     return buffer
 
 
-def max_buffer_length(schedule: StepSchedule, total_iterations: int, prune_epsilon: float) -> int:
-    """Most entries the buffer holds after pruning over a run.
-
-    The weights depend on the step sizes and prune_epsilon alone, never on
-    the draws, so the length a run reaches is known before it starts.
-    """
-    weights, longest = np.zeros(0), 0
-    for k in range(1, total_iterations + 1):
-        weights, keep = _relaxed_weights(weights, step_size(k, schedule), prune_epsilon)
-        weights = weights[keep]
-        longest = max(longest, weights.size)
-    return longest
-
-
-def check_buffer_schedule(config: SaemConfig, prune_epsilon: float, capacity: int | None = None) -> None:
+def check_buffer_schedule(config: SaemConfig, prune_epsilon: float) -> None:
     """ConfigError for a prune_epsilon that is negative or at or above a step
     of ``config``'s schedule: that step's draw would be pruned as it enters,
-    and the run would raise MStepFailure on the empty buffer it left.  A
-    ``capacity`` (a config key that sizes nothing) below the buffer's longest
-    length is a ConfigError too."""
+    and the run would raise MStepFailure on the empty buffer it left."""
     gamma_min = min(step_size(k, config.schedule) for k in (1, config.total_iterations))
     if not 0.0 <= prune_epsilon < gamma_min:
         raise ConfigError(
             f"prune_epsilon {prune_epsilon:g} must lie in [0, {gamma_min:.3g}), "
             "below the smallest step of this schedule"
-        )
-    if capacity is None:
-        return
-    need = max_buffer_length(config.schedule, config.total_iterations, prune_epsilon)
-    if capacity < need:
-        raise ConfigError(
-            f"capacity {capacity} is below the {need} entries the sample buffer "
-            f"reaches with this schedule and prune_epsilon {prune_epsilon:g}"
         )
 
 
@@ -199,8 +175,6 @@ def maximize_q(
     model: LatentModel,
     dataset: Dataset,
     theta_init: ParamVector,
-    grad_tol: float = 1e-6,
-    check_gradient: bool = False,
 ) -> ParamVector:
     """argmax_theta Q(theta), warm-started at theta_init.
 
@@ -221,15 +195,6 @@ def maximize_q(
     else:
         theta = model.maximize_weighted(dataset, buffer, theta_init)
     model.validate_params(theta)
-
-    if check_gradient:
-        q = buffer_objective(buffer, model, dataset, theta)
-        g = buffer_gradient(buffer, model, dataset, theta)
-        norm = float(np.linalg.norm(g))
-        if norm >= grad_tol * (1.0 + abs(q)):
-            raise OptimFailure(
-                f"M-step gradient norm {norm:.3e} above tolerance", grad_norm=norm
-            )
     return theta
 
 

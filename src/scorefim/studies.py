@@ -122,7 +122,7 @@ def _model_for(config: StudyConfig) -> LatentModel:
 # strict JSON config parsing
 
 # the keys parse_fit_keys reads, in study and ``scorefim fit`` configs alike
-FIT_KEYS = ("em_tol", "em_max_iter", "prune_epsilon", "capacity")
+FIT_KEYS = ("em_tol", "em_max_iter", "prune_epsilon")
 _TOP_KEYS = {
     "kind", "model", "theta_star", "design", "M", "seed", "n_values", "alpha",
     "n_mc", "estimators", "components", "saem", "reference_theta", *FIT_KEYS,
@@ -239,15 +239,12 @@ def parse_saem_config(raw: dict) -> SaemConfig:
 
 def parse_fit_keys(raw: dict, route: str, saem: SaemConfig | None) -> dict:
     """The fit keys of a ``fit`` or study config, as ``fit_model`` takes them:
-    em_tol, em_max_iter and prune_epsilon with their defaults.  ``capacity``
-    sizes nothing: it is converted on every route, and on the general route
-    a value below the buffer's longest length under the ``saem`` block's
-    schedule is a ConfigError (``check_buffer_schedule``); then it is
-    dropped."""
+    em_tol, em_max_iter and prune_epsilon with their defaults.  On the
+    general route a prune_epsilon the ``saem`` block's schedule reaches is a
+    ConfigError (``check_buffer_schedule``)."""
     prune_epsilon = _config_value(raw, "prune_epsilon", float, PRUNE_EPSILON)
-    capacity = _config_value(raw, "capacity", int)
     if route == "saem_general" and saem is not None:
-        check_buffer_schedule(saem, prune_epsilon, capacity)
+        check_buffer_schedule(saem, prune_epsilon)
     return {
         "em_tol": _config_value(raw, "em_tol", float, 1e-8),
         "em_max_iter": _config_value(raw, "em_max_iter", int, 2000),
@@ -424,7 +421,7 @@ def _density_study(config: StudyConfig, threads: int):
                 moment_rows.append([est, n, label, skew, kurt, len(sample)])
                 if sample.std() == 0.0:
                     continue  # degenerate component (deterministic estimator entry)
-                grid, dens = gaussian_kde(sample, grid_size=512)
+                grid, dens = gaussian_kde(sample)
                 dens_rows[est] += [
                     [n, label, g, d] for g, d in zip(grid, dens)
                 ]

@@ -374,35 +374,28 @@ def test_exit_code_2_on_a_step_below_prune_epsilon(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_exit_code_2_on_short_buffer_capacity(tmp_path, capsys):
+def test_exit_code_2_on_a_capacity_key(tmp_path, capsys):
+    # the general algorithm's buffer has no capacity: the key is unknown to
+    # study and fit configs alike, and fails before any output is written
     from scorefim.presets import preset_config
-    from scorefim.saem import StepSchedule
-    from scorefim.saem_general import max_buffer_length
 
-    raw = preset_config("pk_fixed_v_coverage")
-    raw["capacity"] = 500
+    raw = preset_config("pk_fixed_v_coverage", desk=True)
+    raw["capacity"] = 999
     study = _write(tmp_path / "study.json", raw)
     assert main(["coverage", "--config", study, "--out", str(tmp_path / "o")]) == 2
-    times = [0.5, 1.0, 2.0, 5.0, 9.0, 24.0]
+    assert "unknown config keys: capacity" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     sim = _write(tmp_path / "sim.json", {
         "model": "pk_nlme_fixed_v", "theta": [1.6, 31.0, 1.8, 0.4, 0.4, 0.75],
-        "design": {"n": 12, "times": times, "dose": 320.0}, "seed": 3,
+        "design": {"n": 12, "times": [0.5, 1.0, 2.0, 5.0, 9.0, 24.0], "dose": 320.0}, "seed": 3,
     })
     data = str(tmp_path / "data.csv")
     assert main(["simulate", "--config", sim, "--out", data]) == 0
-    # the README's schedule at the default prune_epsilon 1e-6 reaches 789 entries
     fit = _write(tmp_path / "fit.json", {
-        "model": "pk_nlme_fixed_v", "capacity": 500,
-        "saem": {"burn_in": 1000, "total_iterations": 3000},
+        "model": "pk_nlme_fixed_v", "capacity": 999,
+        "saem": {"burn_in": 20, "total_iterations": 60},
     })
+    capsys.readouterr()
     assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / "f")]) == 2
-    assert "below the 789 entries" in capsys.readouterr().err
-    # a capacity at the longest length sizes nothing: the fit runs and writes
-    # what a fit without the key writes
-    saem = {"burn_in": 20, "total_iterations": 60}
-    need = max_buffer_length(StepSchedule(20, 0.95, 0.6), 60, 1e-6)
-    for name, extra in (("without", {}), ("with", {"capacity": need})):
-        fit = _write(tmp_path / f"{name}.json", {"model": "pk_nlme_fixed_v", "saem": saem, **extra})
-        assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / name)]) == 0
-    for csv in ("theta.csv", "fim.csv"):
-        assert (tmp_path / "with" / csv).read_bytes() == (tmp_path / "without" / csv).read_bytes()
+    assert "unknown fit keys: capacity" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()

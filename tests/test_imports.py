@@ -1,6 +1,8 @@
 """Static checks of the package sources: every import is used, every
 private function, class or method is referenced somewhere in the package,
-and every public one somewhere in the package, its tests or the benchmark.
+every private top-level one is reached from code outside it, and every
+public one is referenced somewhere in the package, its tests or the
+benchmark.
 
 The project depends on no linter, so these AST scans are the suite's lint
 check.  A package ``__init__.py`` re-exports what it imports and is skipped
@@ -80,6 +82,40 @@ def test_no_unused_imports():
         if unused:
             found[rel] = unused
     assert not found, f"unused imports: {found}"
+
+
+def _loads(nodes) -> set:
+    """Every name and attribute that ``nodes`` read (imports not counted)."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in nodes for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_private_top_level_definition_is_reached():
+    # a _-prefixed top-level function or class must be read by code outside
+    # it: a module statement, a public definition, or a private one that is
+    # itself reached.  So deleting a definition cannot leave behind helpers
+    # that only it used, and recursion or a dead caller does not count
+    private, reached = {}, set()
+    for rel, tree in _sources():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                private[node.name, rel] = _loads([node]) - {node.name}
+            else:
+                reached |= _loads([node])
+    live, grew = set(), True
+    while grew:
+        grew = False
+        for key, reads in private.items():
+            if key not in live and key[0] in reached:
+                live.add(key)
+                reached |= reads
+                grew = True
+    dead = sorted(f"{rel}:{name}" for name, rel in set(private) - live)
+    assert not dead, f"private top-level definitions nothing reaches: {dead}"
 
 
 def test_no_unreferenced_private_definitions():

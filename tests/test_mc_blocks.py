@@ -48,8 +48,9 @@ def _ref_mc_reference_fim(model, theta, design, n_draws, seed, chunk_size=100_00
 
 
 def _ref_individual_moments(task, dead_draws=None):
-    model, record, theta, mode, cov, i, n_draws, seed, df, min_ess, with_hessian = task
-    draws, logq = _mvt_draws(mode, cov, df, n_draws, substream(seed, 2, i))
+    model, record, theta, mode, cov, i, n_draws, seed, min_ess = task
+    with_hessian = model.has_complete_hessian
+    draws, logq = _mvt_draws(mode, cov, n_draws, substream(seed, 2, i))
     rep = Dataset.replicate(record, n_draws)
     logf = model.complete_loglik(rep, draws, theta)
     lw = logf - logq
@@ -170,6 +171,6 @@ def test_oracle_task_memory_bounded_by_the_block(pk, pk_theta, pk_data):
     ds = pk_data.subset([0])
     start = pk.initial_latents(ds, pk_theta, substream(3, 12345))
     modes, covs = _laplace_fit(pk, ds, pk_theta, start)
-    task = (pk, ds.records[0], pk_theta, modes[0], covs[0], 0, 100_000, 3, 5.0, 1.0, True)
+    task = (pk, ds.records[0], pk_theta, modes[0], covs[0], 0, 100_000, 3, 1.0)
     peak = _traced_peak_mib(lambda: condoracle._individual_moments(task))
     assert peak < 32.0

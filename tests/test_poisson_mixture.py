@@ -88,6 +88,22 @@ def test_marginal_hessian_matches_finite_differences(poisson, poisson_data, pois
         np.testing.assert_allclose(H[:, :, a], (sp - sm) / (2 * h[a]), rtol=2e-4, atol=1e-5)
 
 
+def test_marginal_hessian_evaluates_the_posterior_once(
+    monkeypatch, poisson, poisson_data, poisson_theta
+):
+    # the score term reuses the Hessian's class probabilities
+    calls = []
+    posterior = PoissonMixtureModel.posterior
+
+    def counted(self, dataset, theta):
+        calls.append(dataset)
+        return posterior(self, dataset, theta)
+
+    monkeypatch.setattr(PoissonMixtureModel, "posterior", counted)
+    poisson.marginal_hessian(poisson_data, poisson_theta)
+    assert len(calls) == 1
+
+
 def test_conditional_identity_prop3(poisson, poisson_theta):
     # E[complete score | y] equals the marginal score for every y <= 50
     ds = Dataset(tuple(IndividualRecord(y=np.array([float(y)])) for y in range(51)))

@@ -132,21 +132,6 @@ def test_gamma_one_erases_history(lmm, lmm_data, lmm_theta):
     np.testing.assert_array_equal(state.stats, lmm.statistics(lmm_data, state.latents))
 
 
-def test_exact_estep_gamma_one_is_em_step(lmm, lmm_data, lmm_theta):
-    # one iteration with injected conditional expectations reproduces EM
-    cfg = SaemConfig(
-        schedule=StepSchedule(burn_in=1, burn_value=1.0, exponent=1.0),
-        total_iterations=2, seed=5, exact_estep=True,
-    )
-    res = run_saem(lmm, lmm_data, cfg, theta0=lmm_theta)
-    # manual EM: two exact E/M cycles from theta0
-    theta = lmm_theta
-    for _ in range(2):
-        stats = lmm.conditional_stat_expectation(lmm_data, theta)
-        theta = lmm.argmax_complete(lmm_data, stats)
-    np.testing.assert_allclose(res.theta.values, theta.values, rtol=1e-13)
-
-
 def test_point_mass_conditional_reduces_to_deterministic_em(lmm, lmm_theta):
     # eta2 -> 0 limit: conditional of z degenerates at (essentially) zero,
     # iterations become deterministic EM steps

@@ -18,7 +18,6 @@ from scorefim.saem_general import (
     buffer_update,
     check_buffer_schedule,
     delta_update,
-    max_buffer_length,
     maximize_q,
     run_general_saem,
 )
@@ -26,6 +25,25 @@ from scorefim.saem_general import (
 
 def _z(val, n=3, d=1):
     return np.full((n, d), float(val))
+
+
+def _buffer_lengths(schedule, total_iterations, prune_epsilon):
+    """len(buffer) after each iteration of a run under ``schedule``: the
+    weights depend on the step sizes and prune_epsilon alone, so one-value
+    draws give the lengths of any run."""
+    buf, lengths = WeightedSampleBuffer(prune_epsilon=prune_epsilon), []
+    for k in range(1, total_iterations + 1):
+        buf = buffer_update(buf, _z(k, n=1), step_size(k, schedule))
+        lengths.append(len(buf))
+    return lengths
+
+
+def _assert_stationary(buf, model, dataset, theta):
+    """The M-step's postcondition: the gradient of Q at theta is below
+    1e-6 (1 + |Q|) in norm."""
+    g = buffer_gradient(buf, model, dataset, theta)
+    q = buffer_objective(buf, model, dataset, theta)
+    assert np.linalg.norm(g) < 1e-6 * (1.0 + abs(q))
 
 
 def test_buffer_unrolling_example():
@@ -69,20 +87,15 @@ def test_buffer_weight_law_and_mass_accounting():
 
 
 def test_max_buffer_length_follows_the_buffer():
-    sched = StepSchedule(10, 0.95, 0.6)
-    buf, longest = WeightedSampleBuffer(prune_epsilon=1e-3), 0
-    for k in range(1, 81):
-        buf = buffer_update(buf, _z(k), step_size(k, sched))
-        longest = max(longest, len(buf))
-    assert longest > 10
-    assert max_buffer_length(sched, 80, 1e-3) == longest
-    # the paper-scale and desk fixed-V schedules
+    assert max(_buffer_lengths(StepSchedule(10, 0.95, 0.6), 80, 1e-3)) > 10
+    # the paper-scale and desk fixed-V schedules (the lengths README gives)
     paper = StepSchedule(1000, 0.95, 0.6)
-    assert max_buffer_length(paper, 3000, 1e-5) == 614
-    assert max_buffer_length(paper, 2389, 1e-5) == 500
-    assert max_buffer_length(paper, 2390, 1e-5) == 501
-    assert max_buffer_length(paper, 3000, 1e-6) == 789
-    assert max_buffer_length(StepSchedule(150, 0.95, 0.6), 400, 1e-5) == 176
+    lengths = _buffer_lengths(paper, 3000, 1e-5)
+    assert max(lengths) == 614
+    assert max(lengths[:2389]) == 500
+    assert max(lengths[:2390]) == 501
+    assert max(_buffer_lengths(paper, 3000, 1e-6)) == 789
+    assert max(_buffer_lengths(StepSchedule(150, 0.95, 0.6), 400, 1e-5)) == 176
 
 
 def test_zero_weight_entries_drop_at_prune_epsilon_zero():
@@ -93,22 +106,17 @@ def test_zero_weight_entries_drop_at_prune_epsilon_zero():
         buf = buffer_update(buf, _z(v), g)
     assert [l[0, 0] for l in buf.latents] == [3.0, 4.0]
     np.testing.assert_array_equal(buf.weights, [0.5, 0.5])
-    assert max_buffer_length(StepSchedule(150, 0.95, 0.6), 400, 0.0) == 250
-    assert max_buffer_length(StepSchedule(1000, 0.95, 0.6), 3000, 0.0) == 2000
+    assert max(_buffer_lengths(StepSchedule(150, 0.95, 0.6), 400, 0.0)) == 250
+    assert max(_buffer_lengths(StepSchedule(1000, 0.95, 0.6), 3000, 0.0)) == 2000
 
 
 def test_run_general_saem_runs_the_default_schedule_to_its_buffer_length(lmm):
     # the default schedule (burn-in 1000, K = 3000) reaches 789 entries at
-    # the default prune_epsilon 1e-6; the buffer holds them all, since no
-    # capacity bounds it
+    # the default prune_epsilon 1e-6; the buffer holds them all
     ds = simulate_dataset(lmm, lmm.make_params([3.0, 2.0, 5.0]), Design(n=5, n_obs=4), seed=91)
     res = run_general_saem(lmm, ds, SaemConfig(seed=1))
     assert res.diagnostics["buffer_length"] == 789
     assert np.isfinite(res.theta.values).all()
-    # a capacity key below that length is refused; at it, it is not
-    with pytest.raises(ConfigError, match="capacity 788 is below the 789 entries"):
-        check_buffer_schedule(SaemConfig(seed=1), 1e-6, 788)
-    check_buffer_schedule(SaemConfig(seed=1), 1e-6, 789)
 
 
 def test_check_buffer_schedule_rejects_a_step_at_or_below_prune_epsilon(lmm):
@@ -126,7 +134,7 @@ def test_check_buffer_schedule_rejects_a_step_at_or_below_prune_epsilon(lmm):
     with pytest.raises(ConfigError):
         check_buffer_schedule(at, 1e-3)
     check_buffer_schedule(replace(at, total_iterations=1004), 1e-3)
-    assert max_buffer_length(at.schedule, 1004, 1e-3) == 999
+    assert max(_buffer_lengths(at.schedule, 1004, 1e-3)) == 999
     with pytest.raises(ConfigError):  # a burn-in step at or below it too
         check_buffer_schedule(SaemConfig(schedule=StepSchedule(5, 0.01, 0.6), total_iterations=50), 0.01)
 
@@ -175,10 +183,11 @@ def test_pruning_drops_the_oldest_entries_first():
 def test_buffer_memory_follows_the_live_length():
     # the array behind the window is sized to the live entries plus slack
     sched = StepSchedule(10, 0.95, 0.6)
+    lengths = _buffer_lengths(sched, 80, 1e-3)
     buf = WeightedSampleBuffer(prune_epsilon=1e-3)
     for k in range(1, 81):
         buf = buffer_update(buf, _z(k), step_size(k, sched))
-        assert len(buf.latents.base) <= 1.25 * max_buffer_length(sched, k, 1e-3) + 17
+        assert len(buf.latents.base) <= 1.25 * max(lengths[:k]) + 17
 
 
 def test_derived_keeps_the_last_three_keys():
@@ -250,7 +259,8 @@ def test_maximize_q_quadratic_closed_form(lmm, lmm_data, lmm_theta):
     buf = WeightedSampleBuffer(prune_epsilon=0.0)
     for g in (1.0, 0.6, 0.3):
         buf = buffer_update(buf, lmm.sample_conditional(lmm_data, lmm_theta, rng), g)
-    theta = maximize_q(buf, lmm, lmm_data, lmm_theta, check_gradient=True)
+    theta = maximize_q(buf, lmm, lmm_data, lmm_theta)
+    _assert_stationary(buf, lmm, lmm_data, theta)
     wn = buf.weights / buf.total_weight
     stats = sum(w * lmm.statistics(lmm_data, Z) for w, Z in zip(wn, buf.latents))
     expect = lmm.argmax_complete(lmm_data, stats)
@@ -277,7 +287,8 @@ def test_fixed_v_mstep_matches_grid_oracle(pk_fixed_v, pk_fixed_v_data, pk_fixed
     for g in (1.0, 0.5, 0.4, 0.3):
         Z = pk_fixed_v.initial_latents(pk_fixed_v_data, pk_fixed_v_theta, rng)
         buf = buffer_update(buf, Z, g)
-    theta = maximize_q(buf, pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta, check_gradient=True)
+    theta = maximize_q(buf, pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta)
+    _assert_stationary(buf, pk_fixed_v, pk_fixed_v_data, theta)
 
     # 2001-point grid over [V/4, 4V] on the full weighted objective
     V0 = pk_fixed_v_theta.values[1]
@@ -310,9 +321,7 @@ def test_mstep_gradient_postcondition(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_th
         Z = pk_fixed_v.initial_latents(pk_fixed_v_data, pk_fixed_v_theta, rng)
         buf = buffer_update(buf, Z, g)
     theta = maximize_q(buf, pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta)
-    g = buffer_gradient(buf, pk_fixed_v, pk_fixed_v_data, theta)
-    q = buffer_objective(buf, pk_fixed_v, pk_fixed_v_data, theta)
-    assert np.linalg.norm(g) < 1e-6 * (1.0 + abs(q))
+    _assert_stationary(buf, pk_fixed_v, pk_fixed_v_data, theta)
 
 
 def test_mstep_on_non_uniform_design(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta):
@@ -331,7 +340,8 @@ def test_mstep_on_non_uniform_design(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_the
     buf = WeightedSampleBuffer(prune_epsilon=0.0)
     for g in (1.0, 0.5, 0.3):
         buf = buffer_update(buf, pk_fixed_v.initial_latents(ds, pk_fixed_v_theta, rng), g)
-    maximize_q(buf, pk_fixed_v, ds, pk_fixed_v_theta, check_gradient=True)
+    theta = maximize_q(buf, pk_fixed_v, ds, pk_fixed_v_theta)
+    _assert_stationary(buf, pk_fixed_v, ds, theta)
 
 
 def test_mstep_never_decreases_current_objective(pk_fixed_v, pk_fixed_v_theta):

@@ -109,7 +109,7 @@ def test_density_symmetric_sample_gives_symmetric_density():
     from scorefim.kde import gaussian_kde
 
     s = np.concatenate([np.linspace(-3, 3, 101)])
-    grid, dens = gaussian_kde(s, grid_size=512)
+    grid, dens = gaussian_kde(s)
     center = s.mean()
     left = np.interp(center - np.linspace(0, 2, 50), grid, dens)
     right = np.interp(center + np.linspace(0, 2, 50), grid, dens)
@@ -192,44 +192,6 @@ def test_run_study_dispatch():
     assert rep.kind == "bias_table"
 
 
-def test_fixed_v_capacity_checked_at_parse_time():
-    # the buffer length follows from the schedule and prune_epsilon alone;
-    # the paper-scale preset reaches 614 entries (501 at iteration 2390), the
-    # desk preset 176
-    for desk, need in ((False, 614), (True, 176)):
-        raw = preset_config("pk_fixed_v_coverage", desk=desk)
-        raw["capacity"] = need - 1
-        with pytest.raises(ConfigError, match=f"capacity {need - 1} is below the {need} entries"):
-            parse_study_config(raw)
-        for capacity in (need, 10 * need):
-            raw["capacity"] = capacity
-            parse_study_config(raw)
-    raw["capacity"] = "big"
-    with pytest.raises(ConfigError, match="capacity"):
-        parse_study_config(raw)
-
-
-def test_capacity_has_no_effect(tmp_path):
-    # the key is checked and dropped: a short fixed-V coverage study writes
-    # the same bytes with capacity at the buffer's longest length and without
-    # the key, and no study echoes a capacity in its manifest
-    from scorefim.saem_general import max_buffer_length
-
-    raw = preset_config("pk_fixed_v_coverage", desk=True)
-    raw.update(M=2, design={**raw["design"], "n": 6})
-    raw["saem"].update(burn_in=20, total_iterations=60)
-    cfg = parse_study_config(raw)
-    need = max_buffer_length(cfg.saem.schedule, cfg.saem.total_iterations, cfg.prune_epsilon)
-    run_study(cfg, out_dir=tmp_path / "without", threads=1)
-    run_study(parse_study_config({**raw, "capacity": need}), out_dir=tmp_path / "with", threads=1)
-    without, with_ = (tmp_path / d / "coverage" for d in ("without", "with"))
-    assert (with_ / "coverage.csv").read_bytes() == (without / "coverage.csv").read_bytes()
-    run_study(parse_study_config(preset_config("lmm_bias", desk=True) | {"M": 2}),
-              out_dir=tmp_path / "lmm", threads=1)
-    for manifest in (with_, without, tmp_path / "lmm" / "bias_table"):
-        assert "capacity" not in json.loads((manifest / "manifest.json").read_text())["config"]
-
-
 def test_coverage_manifests_sum_the_fits_diagnostics(tmp_path):
     # the general algorithm's replicates report wall seconds per phase and
     # M-step effort; the coverage manifest sums them over the replicates.
@@ -263,12 +225,7 @@ def test_fixed_v_prune_epsilon_checked_against_the_steps_at_parse_time():
     with pytest.raises(ConfigError, match=r"prune_epsilon 0.001 must lie in \[0, 0.000952\)"):
         parse_study_config(raw)
     raw["saem"]["total_iterations"] = 1149  # last step 1/999
-    raw["capacity"] = 999
     parse_study_config(raw)
-    raw["capacity"] = 998
-    with pytest.raises(ConfigError, match="below the 999 entries"):
-        parse_study_config(raw)
-    del raw["capacity"]
     # a negative prune_epsilon parsed, and then every replicate failed
     raw["prune_epsilon"] = -1e-6
     with pytest.raises(ConfigError, match="must lie in"):
