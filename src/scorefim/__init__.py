@@ -12,7 +12,7 @@ reproducible simulation-study harness.
 import numpy.ma
 import numpy.random
 
-from .data import Dataset, Design, IndividualRecord, read_dataset_csv, write_dataset_csv
+from .data import Dataset, Design, read_dataset_csv, write_dataset_csv
 from .fim import (
     FimMatrix,
     conditional_score_fim,
@@ -39,7 +39,6 @@ __all__ = [
     "Design",
     "ExpoFamilyModel",
     "FimMatrix",
-    "IndividualRecord",
     "LatentModel",
     "ParamVector",
     "conditional_score_fim",

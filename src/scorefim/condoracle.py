@@ -191,7 +191,7 @@ def _mvt_draws(mode, cov, size, rng):
 def _individual_moments(task):
     """(E[s | y_i], E[s s^t | y_i], E[H | y_i] or None, ESS) for one individual.
 
-    ``task`` carries the individual's one record and its Laplace mode and
+    ``task`` carries the individual's one-row subset and its Laplace mode and
     covariance, not the dataset; its draws come from stream (seed, 2, i), so
     the result does not depend on which process computes it.  The model is
     evaluated _MC_BLOCK draws at a time, each block on a dataset of its own
@@ -199,10 +199,10 @@ def _individual_moments(task):
     reuse what its log-likelihood call kept (the PK residual sums); E[H | y]
     is summed block by block in draw order.
     """
-    model, record, theta, mode, cov, i, n_draws, seed, min_ess = task
+    model, one, theta, mode, cov, i, n_draws, seed, min_ess = task
     draws, logq = _mvt_draws(mode, cov, n_draws, substream(seed, 2, i))
     blocks = [
-        (slice(s, s + _MC_BLOCK), Dataset.replicate(record, min(_MC_BLOCK, n_draws - s)))
+        (slice(s, s + _MC_BLOCK), one.replicate(min(_MC_BLOCK, n_draws - s)))
         for s in range(0, n_draws, _MC_BLOCK)
     ]
     logf = np.concatenate([model.complete_loglik(rep, draws[b], theta) for b, rep in blocks])
@@ -263,8 +263,9 @@ def conditional_moments(
     modes, covs = _laplace_fit(model, dataset, theta, z_start, report=fit)
     fit_s = time.perf_counter() - t0
     tasks = [
-        (model, record, theta, modes[i], covs[i], i, n_draws, seed, min_ess)
-        for i, record in enumerate(dataset.records)
+        # subset cuts row i to its n_obs; zero padding could regroup a row sum
+        (model, dataset.subset([i]), theta, modes[i], covs[i], i, n_draws, seed, min_ess)
+        for i in range(dataset.n)
     ]
     escore, eouter, ehess, ess = zip(*pmap(_individual_moments, tasks, threads))
     return ConditionalMoments(

@@ -4,8 +4,7 @@ A ``Dataset`` holds its n individuals as read-only columns: ``y`` (n, J)
 with individual i's observations in its first ``n_obs()[i]`` slots and
 zeros after them, J being the longest record; for designs with times and
 doses, ``times`` (n, J) padded the same way with t = 0, and ``doses`` (n,).
-Models read these arrays; ``records`` offers one ``IndividualRecord`` view
-per individual, built on first use, for the few per-record consumers.
+Models read these arrays.
 
 CSV schema: ``individual, obs_index, time, dose, y`` with design columns left
 empty where a model has no such notion; rows are individual-major.
@@ -13,6 +12,7 @@ empty where a model has no such notion; rows are individual-major.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass
@@ -37,125 +37,53 @@ def _column(a, dtype=float):
     return a if a.dtype == dtype and not a.flags.writeable else _frozen(a, dtype)
 
 
-def _columns(y, n_obs=None, times=None, doses=None):
-    """(y, n_obs, times, doses) as read-only arrays, after the checks that
-    every dataset's columns pass (see ``Dataset.from_arrays``)."""
-    y = _column(y)
-    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
-        raise DimensionMismatch("y must hold n >= 1 records of J >= 1 observations")
-    n, J = y.shape
-    n_obs = np.full(n, J) if n_obs is None else _column(n_obs, int)
-    if n_obs.shape != (n,):
-        raise DimensionMismatch("n_obs must hold one count per row of y")
-    if n_obs.min() < 1 or n_obs.max() != J:
-        raise DimensionMismatch("records need 1 to J observations, the longest all J")
-    past_end = np.arange(J) >= n_obs[:, None]
-    if times is not None:
-        times = _column(times)
-        if times.shape != y.shape:
-            raise DimensionMismatch("times must align with y")
-        if (np.diff(times, axis=1) <= 0)[~past_end[:, 1:]].any():
-            raise DomainViolation("observation times must be strictly increasing")
-    if past_end.any() and any(a is not None and a[past_end].any() for a in (y, times)):
-        raise DimensionMismatch("slots past a record's end must hold 0")
-    if doses is not None:
-        doses = _column(doses)
-        if doses.shape != (n,):
-            raise DimensionMismatch("doses must hold one dose per row of y")
-        if not (doses > 0).all():
-            raise DomainViolation("dose must be positive", component="dose")
-    return y, n_obs, times, doses
-
-
-@dataclass(frozen=True)
-class IndividualRecord:
-    """Observations and design for one individual, checked as one row of a
-    dataset's columns."""
-
-    y: np.ndarray
-    times: np.ndarray | None = None
-    dose: float | None = None
-
-    def __post_init__(self):
-        y = _frozen(self.y)
-        times = None if self.times is None else _frozen(self.times)
-        _columns(
-            y[None], times=None if times is None else times[None],
-            doses=None if self.dose is None else [self.dose],
-        )
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "times", times)
-
-    @property
-    def n_obs(self) -> int:
-        return self.y.size
-
-
-def _record_view(y, times, dose) -> IndividualRecord:
-    """A record over arrays a Dataset has already checked and made read-only."""
-    rec = object.__new__(IndividualRecord)
-    for name, value in (("y", y), ("times", times), ("dose", dose)):
-        object.__setattr__(rec, name, value)
-    return rec
-
-
 class Dataset:
     """Immutable columnar observations of n >= 1 individuals (module docstring).
 
-    ``Dataset(records)`` builds the columns from checked IndividualRecords,
-    ``Dataset.from_arrays`` from arrays, and ``Dataset.replicate`` from one
-    record repeated; ``rows`` views a range of rows.  ``latent_truth``
-    optionally retains the simulated latent values, one row per individual;
-    estimators never read it.
+    ``from_arrays`` is the one constructor; ``subset``, ``replicate`` and
+    ``rows`` derive datasets from a checked one.  ``latent_truth`` optionally
+    retains the simulated latents, one row per individual; estimators never
+    read it.
     """
-
-    def __init__(self, records, latent_truth=None):
-        records = tuple(records)
-        if not records:
-            raise DimensionMismatch("dataset needs at least one individual")
-        n_obs = np.array([r.n_obs for r in records])
-        y = np.zeros((len(records), n_obs.max()))
-        times = None if records[0].times is None else np.zeros_like(y)
-        with_dose = records[0].dose is not None
-        for i, r in enumerate(records):
-            if (r.times is not None) != (times is not None) or (r.dose is not None) != with_dose:
-                raise DimensionMismatch("either every record has times (a dose) or none has")
-            y[i, : r.n_obs] = r.y
-            if times is not None:
-                times[i, : r.n_obs] = r.times
-        doses = np.array([r.dose for r in records], dtype=float) if with_dose else None
-        self._set(y, n_obs, times, doses, latent_truth)
-        self.memo("records", lambda: records)
 
     @classmethod
     def from_arrays(cls, y, n_obs=None, times=None, doses=None, latent_truth=None) -> "Dataset":
-        """A dataset from its columns, after the checks IndividualRecord runs
-        on each record.
+        """A dataset from its columns, after the checks every dataset passes.
 
-        ``y`` is (n, J); ``n_obs`` (n,) defaults to J for every row, and the
-        longest record must fill all J slots; slots past a record's end must
-        hold 0 in ``y`` and ``times``.  ``times`` (n, J) and ``doses`` (n,)
-        are optional.  Read-only float arrays, broadcast views included, are
-        kept as given; any other input is copied.
+        ``y`` is (n, J); ``n_obs`` (n,) defaults to J for every row.
+        ``times`` (n, J) and ``doses`` (n,) are optional.  Read-only float
+        arrays, broadcast views included, are kept as given; any other input
+        is copied.
         """
-        self = cls.__new__(cls)
-        self._set(*_columns(y, n_obs, times, doses), latent_truth)
-        return self
+        y = _column(y)
+        if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
+            raise DimensionMismatch("y must hold n >= 1 records of J >= 1 observations")
+        n, J = y.shape
+        n_obs = np.full(n, J) if n_obs is None else _column(n_obs, int)
+        if n_obs.shape != (n,):
+            raise DimensionMismatch("n_obs must hold one count per row of y")
+        if n_obs.min() < 1 or n_obs.max() != J:
+            raise DimensionMismatch("records need 1 to J observations, the longest all J")
+        past_end = np.arange(J) >= n_obs[:, None]
+        if times is not None:
+            times = _column(times)
+            if times.shape != y.shape:
+                raise DimensionMismatch("times must align with y")
+            if (np.diff(times, axis=1) <= 0)[~past_end[:, 1:]].any():
+                raise DomainViolation("observation times must be strictly increasing")
+        if past_end.any() and any(a is not None and a[past_end].any() for a in (y, times)):
+            raise DimensionMismatch("slots past a record's end must hold 0")
+        if doses is not None:
+            doses = _column(doses)
+            if doses.shape != (n,):
+                raise DimensionMismatch("doses must hold one dose per row of y")
+            if not (doses > 0).all():
+                raise DomainViolation("dose must be positive", component="dose")
+        return cls._wrap(y, n_obs, times, doses, latent_truth)
 
     @classmethod
-    def replicate(cls, record: IndividualRecord, n: int) -> "Dataset":
-        """n copies of one record, every column a read-only broadcast view."""
-        J = record.n_obs
-        self = cls.__new__(cls)
-        self._set(
-            np.broadcast_to(record.y, (n, J)), np.broadcast_to(J, (n,)),
-            None if record.times is None else np.broadcast_to(record.times, (n, J)),
-            None if record.dose is None else np.broadcast_to(float(record.dose), (n,)),
-            None,
-        )
-        return self
-
-    def _set(self, y, n_obs, times, doses, latent_truth):
+    def _wrap(cls, y, n_obs, times, doses, latent_truth) -> "Dataset":
+        """A dataset over columns that passed the checks, made read-only."""
         for a in (y, n_obs, times, doses):
             if a is not None and a.flags.writeable:
                 a.setflags(write=False)
@@ -163,9 +91,9 @@ class Dataset:
             latent_truth = _frozen(np.atleast_2d(latent_truth))
             if latent_truth.shape[0] != y.shape[0]:
                 raise DimensionMismatch("latent truth must have one row per individual")
-        self.__dict__.update(
-            y=y, times=times, doses=doses, latent_truth=latent_truth, _n_obs=n_obs
-        )
+        self = cls.__new__(cls)
+        self.__dict__.update(y=y, times=times, doses=doses, latent_truth=latent_truth, _n_obs=n_obs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -178,40 +106,36 @@ class Dataset:
         """Observations per record, read-only."""
         return self._n_obs
 
-    @property
-    def records(self) -> tuple[IndividualRecord, ...]:
-        """One IndividualRecord per individual, viewing the columns; built on
-        first use and kept."""
-
-        def build():
-            out = []
-            for i, k in enumerate(self._n_obs.tolist()):
-                times = None if self.times is None else self.times[i, :k]
-                dose = None if self.doses is None else float(self.doses[i])
-                out.append(_record_view(self.y[i, :k], times, dose))
-            return tuple(out)
-
-        return self.memo("records", build)
-
     def subset(self, indices) -> "Dataset":
-        truth = None
-        if self.latent_truth is not None:
-            truth = self.latent_truth[list(indices)]
-        return Dataset(tuple(self.records[i] for i in indices), latent_truth=truth)
+        """The rows at ``indices``, in their order and repeats allowed, as a
+        new dataset whose columns are cut to the longest of these records."""
+        at = np.asarray(indices, dtype=int)
+        return Dataset.from_arrays(*self._take(at, self._n_obs[at].max(initial=1)))
+
+    def replicate(self, n: int) -> "Dataset":
+        """n copies of this dataset's one individual, every column a read-only
+        broadcast view of its one row."""
+        if self.n != 1:
+            raise DimensionMismatch("replicate repeats a dataset of one individual")
+        return self._wrap(*(
+            None if a is None else np.broadcast_to(a, (n, *a.shape[1:]))
+            for a in (self.y, self._n_obs, self.times, self.doses)
+        ), None)
 
     def rows(self, start: int, stop: int) -> "Dataset":
         """Rows start:stop as a dataset viewing these columns, all J slots
-        kept; it builds no records and runs no checks (the columns passed
-        them)."""
-        cut = slice(start, stop)
-        out = Dataset.__new__(Dataset)
-        out._set(
-            self.y[cut], self._n_obs[cut],
-            None if self.times is None else self.times[cut],
-            None if self.doses is None else self.doses[cut],
-            None if self.latent_truth is None else self.latent_truth[cut],
+        kept; it runs no checks (the columns passed them)."""
+        return self._wrap(*self._take(slice(start, stop), None))
+
+    def _take(self, rows, J):
+        """The columns (y, n_obs, times, doses, latent_truth) at ``rows``,
+        ``y`` and ``times`` cut to their first J slots (all for None)."""
+        cut = (rows, slice(J))
+        return (
+            self.y[cut], self._n_obs[rows], None if self.times is None else self.times[cut],
+            None if self.doses is None else self.doses[rows],
+            None if self.latent_truth is None else self.latent_truth[rows],
         )
-        return out
 
     def memo(self, key: str, builder):
         """Cache a derived view on this immutable dataset (columns never change)."""
@@ -237,61 +161,84 @@ class Design:
             object.__setattr__(self, "times", _frozen(self.times))
 
 
+@contextlib.contextmanager
+def _opened(path_or_buf, mode):
+    """A path opened for CSV in ``mode``, or an open buffer as given."""
+    if isinstance(path_or_buf, str) or hasattr(path_or_buf, "__fspath__"):
+        with open(path_or_buf, mode, newline="") as fh:
+            yield fh
+    else:
+        yield path_or_buf
+
+
 def write_dataset_csv(dataset: Dataset, path_or_buf) -> None:
     """Serialize individual-major with empty cells for absent design columns."""
-
-    def _write(fh):
+    times, doses = dataset.times, dataset.doses
+    with _opened(path_or_buf, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for i, rec in enumerate(dataset.records):
-            for j in range(rec.n_obs):
-                t = "" if rec.times is None else f"{rec.times[j]:.9g}"
-                d = "" if rec.dose is None else f"{rec.dose:.9g}"
-                writer.writerow([i, j, t, d, f"{rec.y[j]:.9g}"])
-
-    if isinstance(path_or_buf, (str,)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_buf)
+        for i, k in enumerate(dataset.n_obs().tolist()):
+            d = "" if doses is None else f"{doses[i]:.9g}"
+            for j in range(k):
+                t = "" if times is None else f"{times[i, j]:.9g}"
+                writer.writerow([i, j, t, d, f"{dataset.y[i, j]:.9g}"])
 
 
 def read_dataset_csv(path_or_buf) -> Dataset:
-    if isinstance(path_or_buf, (str,)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, newline="") as fh:
-            return _read(fh)
-    return _read(path_or_buf)
+    """A dataset from CSV (module docstring); rows may come in any order.
 
-
-def _read(fh) -> Dataset:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
+    Individual ids are integers, sorted into the dataset's rows.  Each
+    individual's ``obs_index`` runs 0..k-1, once each; its times are all
+    given or all blank, and its dose cells all hold the same text.  Every
+    individual has times (a dose), or none has.  A missing file, a cell that
+    is not a number and each breach above raise ConfigError.
+    """
+    try:
+        with _opened(path_or_buf, "r") as fh:
+            lines = list(csv.reader(fh))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"dataset file not found: {path_or_buf}") from exc
+    if not lines or tuple(h.strip() for h in lines[0]) != CSV_COLUMNS:
         raise ConfigError(f"dataset CSV must start with header {','.join(CSV_COLUMNS)}")
-    rows: dict[int, list[tuple[int, str, str, str]]] = {}
-    for row in reader:
-        if not row:
-            continue
+    cells: dict[int, dict[int, list[str]]] = {}
+    for row in filter(None, lines[1:]):
         if len(row) != len(CSV_COLUMNS):
             raise ConfigError(f"malformed dataset row: {row!r}")
-        ind = int(row[0])
-        rows.setdefault(ind, []).append((int(row[1]), row[2], row[3], row[4]))
-    records = []
-    for ind in sorted(rows):
-        entries = sorted(rows[ind])
-        y = np.array([float(e[3]) for e in entries])
-        times_raw = [e[1] for e in entries]
-        dose_raw = {e[2] for e in entries}
-        times = None
-        if any(t != "" for t in times_raw):
-            times = np.array([float(t) for t in times_raw])
-        dose = None
-        if dose_raw - {""}:
-            if len(dose_raw) != 1:
-                raise ConfigError(f"individual {ind} has inconsistent dose entries")
-            dose = float(dose_raw.pop())
-        records.append(IndividualRecord(y=y, times=times, dose=dose))
-    return Dataset(tuple(records))
+        try:
+            ind, j = int(row[0]), int(row[1])
+        except ValueError as exc:
+            raise ConfigError(f"individual {row[0]!r}: {exc}") from None
+        obs = cells.setdefault(ind, {})
+        if j in obs:
+            raise ConfigError(f"individual {ind} has two rows with obs_index {j}")
+        obs[j] = row[2:]
+    if not cells:
+        raise ConfigError("dataset CSV holds no observations")
+    ids = sorted(cells)
+    n_obs = [len(cells[ind]) for ind in ids]
+    y = np.zeros((len(ids), max(n_obs)))
+    times, doses = np.zeros_like(y), np.zeros(len(ids))
+    design = None
+    for i, (ind, k) in enumerate(zip(ids, n_obs)):
+        if sorted(cells[ind]) != list(range(k)):
+            raise ConfigError(f"individual {ind}: obs_index must run 0..{k - 1}, once each")
+        t, d, v = zip(*(cells[ind][j] for j in range(k)))
+        if len({s == "" for s in t}) > 1:
+            raise ConfigError(f"individual {ind} has a time on some rows only")
+        if len(set(d)) > 1:
+            raise ConfigError(f"individual {ind} has inconsistent dose entries")
+        design = design or (t[0] != "", d[0] != "")
+        if design != (t[0] != "", d[0] != ""):
+            raise ConfigError(f"individual {ind}: all individuals or none have times (a dose)")
+        try:
+            y[i, :k] = [float(s) for s in v]
+            if design[0]:
+                times[i, :k] = [float(s) for s in t]
+            if design[1]:
+                doses[i] = float(d[0])
+        except ValueError as exc:
+            raise ConfigError(f"individual {ind}: {exc}") from None
+    return Dataset.from_arrays(y, n_obs, times if design[0] else None, doses if design[1] else None)
 
 
 def dataset_to_csv_string(dataset: Dataset) -> str:

@@ -200,8 +200,8 @@ def _crude_individual_fits(dataset: Dataset):
     Cl over the terminal log-linear slope, ka from the time of the peak.
     """
     fits = []
-    for r in dataset.records:
-        t, y, d = r.times, np.maximum(r.y, 1e-6), r.dose
+    for y, t, d, k in zip(dataset.y, dataset.times, dataset.doses, dataset.n_obs()):
+        t, y = t[:k], np.maximum(y[:k], 1e-6)
         auc = np.trapezoid(y, t)
         tail = y[-3:]
         ttail = t[-3:]

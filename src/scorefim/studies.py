@@ -371,9 +371,11 @@ def _bias_samples(config: StudyConfig, threads: int):
     tables = {}
     samples = {}
     rows = []
+    payloads = [(config, n, n_idx, m) for n_idx, n in enumerate(config.n_values)
+                for m in range(config.M)]
+    batch = _pmap(_bias_worker, payloads, threads)  # one fan-out for every n
     for n_idx, n in enumerate(config.n_values):
-        payloads = [(config, n, n_idx, m) for m in range(config.M)]
-        results = _pmap(_bias_worker, payloads, threads)
+        results = batch[n_idx * config.M:(n_idx + 1) * config.M]
         for est in config.estimators:
             devs = np.stack([r[est] for r in results]) - reference.entries
             bias = devs.mean(axis=0)

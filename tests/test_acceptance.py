@@ -132,7 +132,7 @@ def test_criterion_02_lmm_analytic_fim_brute_force():
     theta = lmm.make_params([3.0, 2.0, 5.0])
     J, N = 12, 100_000
     ds = simulate_dataset(lmm, theta, Design(n=N, n_obs=J), seed=9002)
-    Y = np.stack([r.y for r in ds.records])
+    Y = ds.y
 
     def loglik_all(vals):
         beta, eta2, sigma2 = vals

@@ -399,3 +399,34 @@ def test_exit_code_2_on_a_capacity_key(tmp_path, capsys):
     assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / "f")]) == 2
     assert "unknown fit keys: capacity" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
+
+
+_BAD_CSVS = {  # rows after the header, and what stderr must name
+    "y not a number": (
+        "0,0,,,1.5\n0,1,,,abc\n", "individual 0: could not convert string to float: 'abc'"
+    ),
+    "blank y": ("0,0,,,1.5\n1,0,,,\n", "individual 1: could not convert string to float: ''"),
+    "blank time on one row": ("0,0,0.5,320,1.5\n0,1,,320,2.5\n", "individual 0"),
+    "individual id not an integer": ("0,0,,,1.5\nA,0,,,2.5\n", "individual 'A'"),
+    "repeated obs_index": ("0,0,,,1.5\n0,0,,,2.5\n", "individual 0 has two rows"),
+    "obs_index gap": ("0,0,,,1.5\n0,5,,,2.5\n", "individual 0: obs_index must run 0..1"),
+    "missing file": (None, "dataset file not found"),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "fim"])
+@pytest.mark.parametrize("case", sorted(_BAD_CSVS))
+def test_exit_code_2_on_a_bad_dataset_csv(tmp_path, capsys, command, case):
+    rows, named = _BAD_CSVS[case]
+    data = tmp_path / "data.csv"
+    if rows is not None:
+        data.write_text("individual,obs_index,time,dose,y\n" + rows)
+    key = "theta0" if command == "fit" else "theta"
+    config = _write(tmp_path / "c.json", {"model": "lmm", key: [3.0, 2.0, 5.0]})
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--data", str(data), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
+    assert not out.exists()

@@ -143,7 +143,7 @@ def test_oracle_moments_finite_when_draws_overflow(pk, pk_theta, pk_data, monkey
     # a one-step Laplace fit leaves poor proposals: some draws overflow exp,
     # weigh exactly 0 and have NaN scores, which must not reach the moments
     monkeypatch.setattr(condoracle, "_NEWTON_MAX_ITER", 1)
-    design = Design(n=3, times=pk_data.records[0].times, dose=320.0)
+    design = Design(n=3, times=pk_data.times[0], dose=320.0)
     ds = simulate_dataset(pk, pk_theta, design, seed=seed)
     mom = conditional_moments(pk, ds, pk_theta, n_draws=2_000, seed=seed, min_ess=1)
     assert mom.ess.min() < 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scorefim import Design, conditional_score_fim, finite_diff_score, simulate_dataset
-from scorefim.data import Dataset, IndividualRecord
+from scorefim.data import Dataset
 from scorefim.errors import DomainViolation
 from scorefim.modelbase import validate_params
 from scorefim.models import gaussian_mixture_em, lmm_analytic_fim
@@ -151,7 +151,7 @@ def test_em_matches_the_two_call_form_bit_for_bit(gmm, gmm_theta):
 def test_em_degenerate_single_component(gmm):
     rng = substream(33, 0)
     y = rng.normal(1.5, 1.0, size=200)
-    ds = Dataset(tuple(IndividualRecord(y=np.array([v])) for v in y))
+    ds = Dataset.from_arrays(y[:, None])
     theta0 = gmm.make_params([1.0 - 1e-12, 0.0, 0.0])
     res = gaussian_mixture_em(ds, theta0, tol=1e-14, max_iter=1)
     # all mass on the second component: its mean is the sample mean in one step
@@ -186,6 +186,6 @@ def test_canonicalize_is_involution_on_good_labels(gmm):
 
 
 def test_em_needs_two_points(gmm):
-    ds = Dataset((IndividualRecord(y=np.array([1.0])),))
+    ds = Dataset.from_arrays(np.array([[1.0]]))
     with pytest.raises(DomainViolation):
         gaussian_mixture_em(ds, gmm.make_params([0.5, 1.0, 0.0]))

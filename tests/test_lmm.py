@@ -78,8 +78,8 @@ def test_marginal_pieces_match_explicit_oracle(lmm, lmm_theta):
     ll = lmm.marginal_loglik(ds, lmm_theta)
     sc = lmm.marginal_score(ds, lmm_theta)
     he = lmm.marginal_hessian(ds, lmm_theta)
-    for i, rec in enumerate(ds.records):
-        l0, g0, h0 = _explicit_marginal(lmm_theta, rec.y)
+    for i, y in enumerate(ds.y):
+        l0, g0, h0 = _explicit_marginal(lmm_theta, y)
         assert ll[i] == pytest.approx(l0, rel=1e-12)
         np.testing.assert_allclose(sc[i], g0, rtol=1e-6, atol=1e-7)
         np.testing.assert_allclose(he[i], h0, rtol=1e-4, atol=1e-5)
@@ -145,7 +145,7 @@ def test_analytic_fim_values(lmm_theta):
 def test_simulate_marginal_variance(lmm, lmm_theta):
     # Var(y_ij) = eta2 + sigma2 = 7, checked against sample moments
     ds = simulate_dataset(lmm, lmm_theta, Design(n=100_000, n_obs=12), seed=42)
-    y = np.stack([r.y for r in ds.records])
+    y = ds.y
     v = y.var()
     se = np.sqrt(2.0 / y.size) * 7.0 * 2.0  # generous moment SE bound
     assert abs(v - 7.0) < 3.0 * se + 0.05
@@ -156,19 +156,18 @@ def test_simulate_marginal_variance(lmm, lmm_theta):
 def test_simulate_deterministic(lmm, lmm_theta):
     a = simulate_dataset(lmm, lmm_theta, Design(n=50, n_obs=12), seed=9)
     b = simulate_dataset(lmm, lmm_theta, Design(n=50, n_obs=12), seed=9)
-    for ra, rb in zip(a.records, b.records):
-        np.testing.assert_array_equal(ra.y, rb.y)
+    np.testing.assert_array_equal(a.y, b.y)
     np.testing.assert_array_equal(a.latent_truth, b.latent_truth)
 
 
 def test_ragged_designs_supported(lmm, lmm_theta):
-    from scorefim.data import Dataset, IndividualRecord
+    from scorefim.data import Dataset
 
     rng = substream(3, 3)
-    records = tuple(
-        IndividualRecord(y=rng.normal(3, 2, size=j)) for j in (3, 5, 12)
-    )
-    ds = Dataset(records)
+    y = np.zeros((3, 12))
+    for i, j in enumerate((3, 5, 12)):
+        y[i, :j] = rng.normal(3, 2, size=j)
+    ds = Dataset.from_arrays(y, n_obs=[3, 5, 12])
     sc = lmm.marginal_score(ds, lmm_theta)
     assert sc.shape == (3, 3)
     Z = rng.normal(size=(3, 1))

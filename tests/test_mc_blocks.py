@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scorefim import Dataset, Design, simulate_dataset
+from scorefim import Design, simulate_dataset
 from scorefim import condoracle
 from scorefim.condoracle import _laplace_fit, _mvt_draws, conditional_moments
 from scorefim.errors import NumericalError
@@ -48,10 +48,10 @@ def _ref_mc_reference_fim(model, theta, design, n_draws, seed, chunk_size=100_00
 
 
 def _ref_individual_moments(task, dead_draws=None):
-    model, record, theta, mode, cov, i, n_draws, seed, min_ess = task
+    model, one, theta, mode, cov, i, n_draws, seed, min_ess = task
     with_hessian = model.has_complete_hessian
     draws, logq = _mvt_draws(mode, cov, n_draws, substream(seed, 2, i))
-    rep = Dataset.replicate(record, n_draws)
+    rep = one.replicate(n_draws)
     logf = model.complete_loglik(rep, draws, theta)
     lw = logf - logq
     lw -= lw.max()
@@ -171,6 +171,6 @@ def test_oracle_task_memory_bounded_by_the_block(pk, pk_theta, pk_data):
     ds = pk_data.subset([0])
     start = pk.initial_latents(ds, pk_theta, substream(3, 12345))
     modes, covs = _laplace_fit(pk, ds, pk_theta, start)
-    task = (pk, ds.records[0], pk_theta, modes[0], covs[0], 0, 100_000, 3, 1.0)
+    task = (pk, ds, pk_theta, modes[0], covs[0], 0, 100_000, 3, 1.0)
     peak = _traced_peak_mib(lambda: condoracle._individual_moments(task))
     assert peak < 32.0

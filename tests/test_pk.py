@@ -298,7 +298,7 @@ def test_flip_flop_mirror_is_a_likelihood_symmetry(pk, pk_data):
     ka_m, cl_m, v_m = np.exp(image).T
     np.testing.assert_allclose(ka_m, cl / v, rtol=1e-13)
     np.testing.assert_allclose(cl_m / v_m, ka, rtol=1e-13)
-    t = pk_data.records[0].times[None, :]
+    t = pk_data.times[:1]
     np.testing.assert_allclose(
         pk_prediction(320.0, t, ka_m[:, None], v_m[:, None], cl_m[:, None]),
         pk_prediction(320.0, t, ka[:, None], v[:, None], cl[:, None]),
@@ -372,9 +372,10 @@ def _profile_by_records(ds, latents, w, V):
     by record through pk_prediction and the core's dpred/dV."""
     rss = drss = curv = 0.0
     for wl, Z in zip(w, latents):
-        for r, (ka, cl) in zip(ds.records, np.exp(Z)):
-            resid = r.y - pk_prediction(r.dose, r.times, ka, V, cl)
-            dv = _pred_dv(r.dose, r.times, ka, V, cl)[1]
+        for y, t, d, k, (ka, cl) in zip(ds.y, ds.times, ds.doses, ds.n_obs(), np.exp(Z)):
+            y, t = y[:k], t[:k]
+            resid = y - pk_prediction(d, t, ka, V, cl)
+            dv = _pred_dv(d, t, ka, V, cl)[1]
             rss += wl * (resid**2).sum()
             drss += -2.0 * wl * (resid * dv).sum()
             curv += 2.0 * wl * (dv**2).sum()
@@ -686,9 +687,7 @@ def test_profile_v_curvature_start_reaches_the_secant_minimum(pk_fixed_v_data):
 def test_rss_memo_sees_latents_changed_in_place(pk, pk_data, pk_theta):
     # the MH step writes accepted proposals into Z in place: the kept residual
     # sums must not be returned for the changed latents
-    from scorefim import Dataset
-
-    ds = Dataset(pk_data.records)
+    ds = pk_data.subset(range(pk_data.n))
     Z = pk.initial_latents(ds, pk_theta, substream(3, 1))
     first = pk.complete_loglik(ds, Z, pk_theta)
     Z[::2] += 0.05
@@ -698,24 +697,22 @@ def test_rss_memo_sees_latents_changed_in_place(pk, pk_data, pk_theta):
     for method in ("complete_loglik", "complete_score", "complete_hessian", "statistics"):
         args = (Z, pk_theta) if method != "statistics" else (Z,)
         np.testing.assert_array_equal(
-            getattr(pk, method)(ds, *args), getattr(pk, method)(Dataset(ds.records), *args),
+            getattr(pk, method)(ds, *args), getattr(pk, method)(ds.subset(range(ds.n)), *args),
             err_msg=method,
         )
 
 
 def test_replicated_record_matches_the_single_record_rows(pk, pk_data, pk_theta):
-    from scorefim import Dataset
     from scorefim.models.pk import _design_arrays
 
-    rec = pk_data.records[4]
+    one = pk_data.subset([4])
     n = 40
-    rep = Dataset.replicate(rec, n)  # as the oracle builds its draws' dataset
+    rep = one.replicate(n)  # as the oracle builds its draws' dataset
     Y, T, doses = _design_arrays(rep)
-    assert Y.shape == T.shape == (n, rec.n_obs) and doses.shape == (n,)
+    assert Y.shape == T.shape == (n, one.y.shape[1]) and doses.shape == (n,)
     assert not (Y.flags.writeable or T.flags.writeable or doses.flags.writeable)
     assert Y.strides[0] == T.strides[0] == doses.strides[0] == 0  # broadcast views
     Z = pk.initial_latents(rep, pk_theta, substream(4, 1))
-    one = Dataset((rec,))
     for method in ("complete_loglik", "complete_score", "complete_hessian"):
         got = getattr(pk, method)(rep, Z, pk_theta)
         want = np.concatenate([getattr(pk, method)(one, Z[b:b + 1], pk_theta) for b in range(n)])
@@ -725,16 +722,18 @@ def test_replicated_record_matches_the_single_record_rows(pk, pk_data, pk_theta)
 def test_ragged_design_matches_records_evaluated_alone(pk, pk_theta, pk_data, pk_fixed_v, pk_fixed_v_theta):
     # records of 8 to 10 observations are padded to 10 with t = 0, y = 0;
     # every padded slot must add exactly nothing to any per-record sum
-    from scorefim import Dataset, IndividualRecord
+    from scorefim import Dataset
     from scorefim.models.pk import _FusedProfile, _design_arrays, _profile_factors
 
-    ds = Dataset(tuple(
-        IndividualRecord(y=r.y[: 10 - i % 3], times=r.times[: 10 - i % 3], dose=r.dose * (1 + i / 10))
-        for i, r in enumerate(pk_data.records[:12])
-    ))
+    k = 10 - np.arange(12) % 3
+    keep = np.arange(10) < k[:, None]
+    ds = Dataset.from_arrays(
+        np.where(keep, pk_data.y[:12], 0.0), k, np.where(keep, pk_data.times[:12], 0.0),
+        pk_data.doses[:12] * (1 + np.arange(12) / 10),
+    )
     Y, T, doses = _design_arrays(ds)
     assert Y.shape == T.shape == (12, 10) and (T[2, 8:] == 0).all() and (Y[2, 8:] == 0).all()
-    alone = [Dataset((r,)) for r in ds.records]
+    alone = [ds.subset([i]) for i in range(ds.n)]
     rng = substream(52, 1)
 
     def check(method, model, Z, *args):

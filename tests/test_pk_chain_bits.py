@@ -147,7 +147,7 @@ def test_interleaved_thetas_datasets_and_latents_match_the_plain_forms(case):
     # theta 1, theta 2, theta 1 on two datasets, and latents changed in place:
     # the kept theta terms and residual sums must never answer another call
     model, ref, theta, other, ds, _ = case
-    ds2 = Dataset(ds.records[::-1])
+    ds2 = ds.subset(range(ds.n - 1, -1, -1))
     Z = _rows(model, ds, theta, 4)
     calls = [(ds, theta), (ds, other), (ds, theta), (ds2, theta), (ds, theta), (ds2, other)]
     for step, (data, th) in enumerate(calls):
@@ -156,7 +156,7 @@ def test_interleaved_thetas_datasets_and_latents_match_the_plain_forms(case):
             Z[::3] += 0.25
     # one proposal after another at one theta, as in a sweep, and back to
     # the first latents the dataset's kept sums were computed at
-    ds3 = Dataset(ds.records)
+    ds3 = ds.subset(range(ds.n))
     for seed in (5, 6, 5):
         prop = _rows(model, ds3, theta, seed)
         assert np.array_equal(model.complete_loglik(ds3, prop, theta), ref(ds3, prop, theta))
@@ -230,10 +230,11 @@ def test_run_saem_relaxes_in_place_without_writing_model_arrays(pk, pk_data):
 
 def test_dpsi_and_dphi_match_the_column_fills(pk, pk_data):
     # random thetas over many decades, on a dataset whose rows differ in J
-    ragged = Dataset(tuple(
-        type(r)(y=r.y[: 4 + i % 7], times=r.times[: 4 + i % 7], dose=r.dose)
-        for i, r in enumerate(pk_data.records)
-    ))
+    k = 4 + np.arange(pk_data.n) % 7
+    keep = np.arange(10) < k[:, None]
+    ragged = Dataset.from_arrays(
+        np.where(keep, pk_data.y, 0.0), k, np.where(keep, pk_data.times, 0.0), pk_data.doses
+    )
     rng = substream(17, 0)
     for _ in range(500):
         values = np.exp(rng.uniform(-6.0, 6.0, 7))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scorefim import Design, conditional_score_fim, finite_diff_score, score_outer_fim, simulate_dataset
-from scorefim.data import Dataset, IndividualRecord
+from scorefim.data import Dataset
 from scorefim.errors import DomainViolation
 from scorefim.modelbase import validate_params
 from scorefim.models import PoissonMixtureModel
@@ -16,7 +16,7 @@ from scorefim.saem import individual_delta
 
 
 def _single(y):
-    return Dataset((IndividualRecord(y=np.array([float(y)])),))
+    return Dataset.from_arrays(np.array([[float(y)]]))
 
 
 def test_validate_rejects_bad_proportions(poisson):
@@ -106,7 +106,7 @@ def test_marginal_hessian_evaluates_the_posterior_once(
 
 def test_conditional_identity_prop3(poisson, poisson_theta):
     # E[complete score | y] equals the marginal score for every y <= 50
-    ds = Dataset(tuple(IndividualRecord(y=np.array([float(y)])) for y in range(51)))
+    ds = Dataset.from_arrays(np.arange(51.0)[:, None])
     cond = poisson.conditional_expected_score(ds, poisson_theta)
     marg = poisson.marginal_score(ds, poisson_theta)
     np.testing.assert_allclose(cond, marg, rtol=1e-10, atol=1e-12)
@@ -122,7 +122,7 @@ def test_conditional_score_fim_equals_outer_product(poisson, poisson_data, poiss
 def test_single_component_reduces_to_plain_poisson():
     single = PoissonMixtureModel(n_components=1)
     theta = single.make_params([4.0])
-    ds = Dataset(tuple(IndividualRecord(y=np.array([float(y)])) for y in (0, 3, 7)))
+    ds = Dataset.from_arrays(np.array([[0.0], [3.0], [7.0]]))
     fim = conditional_score_fim(single, ds, theta)
     s = np.array([[y / 4.0 - 1.0] for y in (0, 3, 7)])
     np.testing.assert_allclose(fim.entries, s.T @ s / 3, rtol=1e-12)
@@ -163,7 +163,7 @@ def test_expo_family_identity(poisson, poisson_data, poisson_theta):
 def test_simulate_mixture_mean(poisson, poisson_theta):
     # E[y] = sum alpha_k lambda_k = 4.9
     ds = simulate_dataset(poisson, poisson_theta, Design(n=100_000), seed=77)
-    y = np.array([r.y[0] for r in ds.records])
+    y = ds.y[:, 0]
     se = y.std() / np.sqrt(y.size)
     assert abs(y.mean() - 4.9) < 3.0 * se
 

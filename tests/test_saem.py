@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from scorefim import Design, simulate_dataset
-from scorefim.data import Dataset, IndividualRecord
+from scorefim.data import Dataset
 from scorefim.errors import ConfigError
 from scorefim.modelbase import ExpoFamilyModel
 from scorefim.models import LinearMixedModel
@@ -44,10 +44,11 @@ def test_schedule_validation():
         SaemConfig(schedule=paper_schedule(100), total_iterations=100)
 
 
-def _one_step_from(model, record, z, theta, scale, rng, trials):
+def _one_step_from(model, one, z, theta, scale, rng, trials):
     """One random-walk MH step from z in each of ``trials`` chains, all on
-    copies of one record; returns the (trials, d) end points."""
-    ds = Dataset((record,) * trials)
+    copies of the one-individual dataset ``one``; returns the (trials, d) end
+    points."""
+    ds = one.subset([0] * trials)
     Z = np.tile(np.asarray(z, dtype=float), (trials, 1))
     logf = model.complete_loglik(ds, Z, theta)
     Z, _, _ = _mh_sweep(model, ds, Z, logf, theta, np.array([scale]), rng, 1)
@@ -56,20 +57,20 @@ def _one_step_from(model, record, z, theta, scale, rng, trials):
 
 def test_mh_accepts_uphill(lmm, lmm_theta, lmm_data):
     # a proposal with higher complete log-likelihood is always accepted
-    rec = lmm_data.records[0]
+    one = lmm_data.subset([0])
     rng = substream(1, 0)
-    m, v = lmm._posterior(lmm_data.subset([0]), lmm_theta)
+    m, v = lmm._posterior(one, lmm_theta)
     far = np.array([m[0] + 25.0])
-    z_new = _one_step_from(lmm, rec, far, lmm_theta, 1e-4, rng, 50)
+    z_new = _one_step_from(lmm, one, far, lmm_theta, 1e-4, rng, 50)
     accepted = int(np.sum(z_new[:, 0] != far[0]))
     assert accepted == 50  # tiny steps from far out always move uphill
 
 
 def test_mh_zero_scale_is_constant(lmm, lmm_theta, lmm_data):
-    rec = lmm_data.records[0]
+    one = lmm_data.subset([0])
     rng = substream(1, 1)
     z = np.array([0.7])
-    z_new = _one_step_from(lmm, rec, z, lmm_theta, 0.0, rng, 10)
+    z_new = _one_step_from(lmm, one, z, lmm_theta, 0.0, rng, 10)
     np.testing.assert_array_equal(z_new, np.tile(z, (10, 1)))
 
 
@@ -99,7 +100,6 @@ def test_mh_detailed_balance_smoke(lmm, lmm_theta):
     # pi(A) q(A->B) alpha(A->B) == pi(B) q(B->A) alpha(B->A) for the
     # random-walk kernel; empirical flows into matched balls around A and B
     ds1 = simulate_dataset(lmm, lmm_theta, Design(n=1, n_obs=12), seed=63)
-    rec = ds1.records[0]
     scale = 1.0
     A, B = np.array([0.0]), np.array([1.1])
     radius = 0.12
@@ -111,7 +111,7 @@ def test_mh_detailed_balance_smoke(lmm, lmm_theta):
     flows = {}
     for name, start in (("AB", A), ("BA", B)):
         trials = 150_000
-        z_new = _one_step_from(lmm, rec, start, lmm_theta, scale, rng, trials)
+        z_new = _one_step_from(lmm, ds1, start, lmm_theta, scale, rng, trials)
         hits = int(np.sum(np.abs(z_new[:, 0] - (B if name == "AB" else A)[0]) < radius))
         flows[name] = hits / trials
     lhs = np.exp(log_pi(A)) * flows["AB"]
@@ -170,7 +170,7 @@ def test_saem_converges_to_marginal_mle(lmm, lmm_theta):
                    method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-12})
     mle = np.array([res.x[0], np.exp(res.x[1]), np.exp(res.x[2])])
     # balanced design: the marginal MLE of the mean is the grand mean
-    grand = np.mean([r.y.mean() for r in ds.records])
+    grand = np.mean(ds.y.mean(axis=1))
     assert mle[0] == pytest.approx(grand, abs=1e-6)
 
     cfg = SaemConfig(
@@ -241,11 +241,11 @@ class _PointMassModel(ExpoFamilyModel):
         self._check_dim(theta)
 
     def complete_loglik(self, dataset, Z, theta):
-        y = np.array([r.y[0] for r in dataset.records])
+        y = dataset.y[:, 0]
         return -0.5 * (y - theta.values[0]) ** 2 - 0.5 * Z[:, 0] ** 2
 
     def complete_score(self, dataset, Z, theta):
-        y = np.array([r.y[0] for r in dataset.records])
+        y = dataset.y[:, 0]
         return (y - theta.values[0])[:, None]
 
     def complete_hessian(self, dataset, Z, theta):
@@ -253,7 +253,7 @@ class _PointMassModel(ExpoFamilyModel):
 
     def simulate(self, theta, design, rng):
         y = theta.values[0] + rng.standard_normal(design.n)
-        return Dataset(tuple(IndividualRecord(y=np.array([v])) for v in y))
+        return Dataset.from_arrays(y[:, None])
 
     def sample_conditional(self, dataset, theta, rng):
         return np.zeros((dataset.n, 1))
@@ -268,14 +268,14 @@ class _PointMassModel(ExpoFamilyModel):
         return Z.copy()
 
     def dpsi(self, dataset, theta):
-        y = np.array([r.y[0] for r in dataset.records])
+        y = dataset.y[:, 0]
         return -(y - theta.values[0])[:, None]
 
     def dphi(self, dataset, theta):
         return np.zeros((dataset.n, 1, 1))
 
     def argmax_complete(self, dataset, stats):
-        y = np.array([r.y[0] for r in dataset.records])
+        y = dataset.y[:, 0]
         return self.make_params([y.mean()])
 
 

@@ -327,13 +327,15 @@ def test_mstep_gradient_postcondition(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_th
 def test_mstep_on_non_uniform_design(pk_fixed_v, pk_fixed_v_data, pk_fixed_v_theta):
     # records of different lengths are padded to the longest one, so the
     # M-step runs the same profile as on a uniform design
-    from scorefim.data import Dataset, IndividualRecord
+    from scorefim.data import Dataset
     from scorefim.models.pk import _design_arrays
 
-    ds = Dataset(tuple(
-        IndividualRecord(y=r.y[: 10 - i % 3], times=r.times[: 10 - i % 3], dose=r.dose)
-        for i, r in enumerate(pk_fixed_v_data.records)
-    ))
+    data = pk_fixed_v_data
+    k = 10 - np.arange(data.n) % 3
+    keep = np.arange(10) < k[:, None]
+    ds = Dataset.from_arrays(
+        np.where(keep, data.y, 0.0), k, np.where(keep, data.times, 0.0), data.doses
+    )
     Y, T, doses = _design_arrays(ds)
     assert Y.shape == T.shape == (ds.n, 10) and doses.shape == (ds.n,)
     rng = substream(86, 0)

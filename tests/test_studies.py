@@ -78,6 +78,23 @@ def test_bias_study_threads_deterministic(tmp_path):
     assert fa == fb
 
 
+@pytest.mark.parametrize("kind", ["bias_table", "density"])
+def test_bias_and_density_studies_fan_out_once(monkeypatch, kind):
+    # every (n_idx, m) replicate goes out in one batch, n-major as before
+    from scorefim import studies
+
+    batches = []
+    pmap = studies._pmap
+
+    def spy(fn, payloads, threads):
+        batches.append([(p[2], p[3]) for p in payloads])
+        return pmap(fn, payloads, threads)
+
+    monkeypatch.setattr(studies, "_pmap", spy)
+    run_study(parse_study_config(_tiny_bias_raw(kind=kind, M=5)), threads=1)
+    assert batches == [[(n_idx, m) for n_idx in range(2) for m in range(5)]]
+
+
 def test_bias_shrinks_with_n():
     # both moment estimators are unbiased; the observed trend must stay
     # within 2 combined MC standard errors (consistency as a trend check)
