@@ -73,7 +73,7 @@ def _cmd_fit(args) -> int:
     seed = _seed_of(args, raw)
     alpha = _config_value(raw, "alpha", wald_alpha, 0.05)
     method = raw.get("method", fit_route(raw["model"]))
-    saem = parse_saem_config(raw.get("saem", {}))
+    saem = parse_saem_config(raw.get("saem", {}), model)
 
     timer = ManifestTimer({"fit": raw, "data": str(args.data)}, seed)
     theta_hat, fim, trajectories, diagnostics = fit_model(

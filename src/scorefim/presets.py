@@ -70,7 +70,6 @@ PRESETS: dict[str, dict] = {
             "exponent": 0.6,
             "total_iterations": 3000,
             "mh_transitions_per_iter": 5,
-            "averaging": "on_after_burn_in",
         },
     },
     "pk_fixed_v_coverage": {
@@ -126,7 +125,6 @@ _DESK: dict[str, dict] = {
             "exponent": 0.6,
             "total_iterations": 1500,
             "mh_transitions_per_iter": 5,
-            "averaging": "on_after_burn_in",
         },
     },
     "pk_fixed_v_coverage": {

@@ -77,7 +77,6 @@ class SaemConfig:
     mh_transitions_per_iter: int = 5
     proposal_scales: np.ndarray | None = None
     seed: int = 0
-    averaging: str = "off"  # off | on_after_burn_in
     track_louis: bool = False
     thin: int = 1
 
@@ -86,41 +85,26 @@ class SaemConfig:
             raise ConfigError("total_iterations must exceed the burn-in")
         if self.mh_transitions_per_iter < 1:
             raise ConfigError("mh_transitions_per_iter must be >= 1")
-        if self.averaging not in ("off", "on_after_burn_in"):
-            raise ConfigError(f"unknown averaging mode {self.averaging!r}")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
         if self.proposal_scales is not None:
             scales = np.asarray(self.proposal_scales, dtype=float)
-            if np.any(scales < 0):
-                raise ConfigError("proposal scales must be nonnegative")
+            if not np.all(np.isfinite(scales) & (scales >= 0)):
+                raise ConfigError("proposal scales must be finite and nonnegative")
             object.__setattr__(self, "proposal_scales", scales)
-
-
-@dataclass
-class SaemState:
-    """Mutable per-iteration state of a run."""
-
-    k: int
-    theta: ParamVector
-    stats: np.ndarray  # (n, m)
-    latents: np.ndarray  # (n, d)
-    stat_average: np.ndarray | None = None
-    avg_count: int = 0
-    stat_history_min: np.ndarray | None = None
-    stat_history_max: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class SaemResult:
+    """What both SAEM engines return: the final iterate theta_K, its
+    score-based FIM, the thinned trajectories, the diagnostics and, on the
+    exponential-family engine with ``track_louis``, the Louis comparator."""
+
     theta: ParamVector
     fim: FimMatrix
-    theta_averaged: ParamVector | None
-    fim_averaged: FimMatrix | None
-    louis: FimMatrix | None
     trajectories: dict
-    state: SaemState
     diagnostics: dict
+    louis: FimMatrix | None = None
 
 
 def individual_delta(model: ExpoFamilyModel, dataset: Dataset, stats: np.ndarray, theta: ParamVector) -> np.ndarray:
@@ -322,38 +306,25 @@ def run_saem(
 
     run = _SaemRun(model, dataset, config, theta0)
     n, p = dataset.n, model.p
-    Z = run.Z
-    stats = model.statistics(dataset, Z)
-    state = SaemState(
-        k=0,
-        theta=run.theta0,
-        stats=stats.copy(),  # relaxed in place below
-        latents=Z,
-        stat_history_min=stats.copy(),
-        stat_history_max=stats.copy(),
-    )
+    theta = run.theta0
+    stats = model.statistics(dataset, run.Z).copy()  # relaxed in place below
 
     track_louis = config.track_louis
     G = np.zeros((n, p, p)) if track_louis else None
     D = np.zeros((n, p)) if track_louis else None
-    averaging = config.averaging == "on_after_burn_in"
     clamp_hits = 0
 
     # the relaxations run in place; arrays the model returns are only read
     for k in range(1, config.total_iterations + 1):
         gamma = step_size(k, config.schedule)
-        Z = run.draw(k, state.theta)
-        new_stats = model.statistics(dataset, Z)
-
-        state.stats *= 1.0 - gamma
-        state.stats += gamma * new_stats
-        np.minimum(state.stat_history_min, new_stats, out=state.stat_history_min)
-        np.maximum(state.stat_history_max, new_stats, out=state.stat_history_max)
+        Z = run.draw(k, theta)
+        stats *= 1.0 - gamma
+        stats += gamma * model.statistics(dataset, Z)
         run.lap("update")
 
         if track_louis:
-            sc = model.complete_score(dataset, Z, state.theta)
-            he = model.complete_hessian(dataset, Z, state.theta)
+            sc = model.complete_score(dataset, Z, theta)
+            he = model.complete_hessian(dataset, Z, theta)
             outer = np.einsum("ij,ik->ijk", sc, sc)
             outer += he
             outer *= gamma
@@ -364,45 +335,28 @@ def run_saem(
             run.lap("fim")
 
         try:
-            theta_new = model.argmax_complete(dataset, state.stats)
-            model.validate_params(theta_new)
+            theta = model.argmax_complete(dataset, stats)
+            model.validate_params(theta)
         except DomainViolation as exc:
             raise MStepFailure(
-                f"M-step infeasible at iteration {k}: {exc}", stats=state.stats
+                f"M-step infeasible at iteration {k}: {exc}", stats=stats
             ) from exc
-        if np.any(theta_new.values <= 1e-10):
+        if np.any(theta.values <= 1e-10):
             clamp_hits += 1
-        state.theta = theta_new
-        state.k = k
         run.lap("mstep")
 
-        if averaging and k > config.schedule.burn_in:
-            state.avg_count += 1
-            if state.stat_average is None:
-                state.stat_average = state.stats.copy()
-            else:
-                state.stat_average += (state.stats - state.stat_average) / state.avg_count
-        state.latents = Z
-        run.lap("update")
-
         if run.due(k):
-            delta = individual_delta(model, dataset, state.stats, state.theta)
+            delta = individual_delta(model, dataset, stats, theta)
             columns = {"fim_diag": (delta**2).mean(axis=0)}
             if track_louis:
                 columns["louis_diag"] = -(
                     np.einsum("ill->il", G) - D**2  # type: ignore[index]
                 ).mean(axis=0)
-            run.record(k, gamma, state.theta, **columns)
+            run.record(k, gamma, theta, **columns)
             run.lap("fim")
 
-    delta_final = individual_delta(model, dataset, state.stats, state.theta)
+    delta_final = individual_delta(model, dataset, stats, theta)
     fim = score_outer_fim(delta_final, names=model.param_names, provenance="sa-byproduct")
-
-    theta_avg = fim_avg = None
-    if averaging and state.stat_average is not None:
-        theta_avg = model.argmax_complete(dataset, state.stat_average)
-        d_avg = individual_delta(model, dataset, state.stat_average, theta_avg)
-        fim_avg = score_outer_fim(d_avg, names=model.param_names, provenance="sa-byproduct")
 
     louis = None
     if track_louis:
@@ -410,13 +364,4 @@ def run_saem(
         louis = FimMatrix(_symmetrize_exact(entries), "louis-sa", n, model.param_names)
 
     trajectories, diagnostics = run.results(clamp_hits=clamp_hits)
-    return SaemResult(
-        theta=state.theta,
-        fim=fim,
-        theta_averaged=theta_avg,
-        fim_averaged=fim_avg,
-        louis=louis,
-        trajectories=trajectories,
-        state=state,
-        diagnostics=diagnostics,
-    )
+    return SaemResult(theta, fim, trajectories, diagnostics, louis)

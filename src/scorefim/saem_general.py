@@ -13,16 +13,15 @@ at the end, using the same draws that feed the buffer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DomainViolation, MStepFailure
-from .fim import FimMatrix, score_outer_fim
+from .fim import score_outer_fim
 from .modelbase import ExpoFamilyModel, LatentModel
 from .params import ParamVector
-from .saem import SaemConfig, _SaemRun, step_size
+from .saem import SaemConfig, SaemResult, _SaemRun, step_size
 
 PRUNE_EPSILON = 1e-6  # default weight below which a buffer entry is pruned
 _KEPT_KEYS = 3  # keys ``derived`` keeps arrays at, per name
@@ -209,22 +208,13 @@ def delta_update(delta_i: np.ndarray, score_i: np.ndarray, gamma_k: float) -> np
     return (1.0 - gamma_k) * delta_i + gamma_k * score_i
 
 
-@dataclass(frozen=True)
-class GeneralSaemResult:
-    theta: ParamVector
-    fim: FimMatrix
-    trajectories: dict
-    deltas: np.ndarray
-    diagnostics: dict
-
-
 def run_general_saem(
     model: LatentModel,
     dataset: Dataset,
     config: SaemConfig,
     theta0: ParamVector | None = None,
     prune_epsilon: float = PRUNE_EPSILON,
-) -> GeneralSaemResult:
+) -> SaemResult:
     """General-algorithm driver: simulate, relax Q-buffer and Deltas, maximize.
 
     The same draws feed both the buffer and the Delta recursions; scores enter
@@ -259,6 +249,4 @@ def run_general_saem(
         buffer_length=len(buffer), pruned_mass=buffer.discarded_mass,
         mstep_effort=dict(buffer.mstep_effort),
     )
-    return GeneralSaemResult(
-        theta=theta, fim=fim, trajectories=trajectories, deltas=deltas, diagnostics=diagnostics,
-    )
+    return SaemResult(theta, fim, trajectories, diagnostics)

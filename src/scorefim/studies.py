@@ -130,7 +130,7 @@ _TOP_KEYS = {
 _DESIGN_KEYS = {"n", "n_obs", "times", "dose"}
 _SAEM_KEYS = {
     "burn_in", "burn_value", "exponent", "total_iterations",
-    "mh_transitions_per_iter", "proposal_scales", "averaging", "thin",
+    "mh_transitions_per_iter", "proposal_scales", "thin",
 }
 _ESTIMATORS = ("score", "observed")
 
@@ -219,10 +219,17 @@ def parse_design_config(raw: dict) -> Design:
     )
 
 
-def parse_saem_config(raw: dict) -> SaemConfig:
-    """Strict parser of a ``saem`` block (study, ``scorefim fit``); the
+def parse_saem_config(raw: dict, model: LatentModel) -> SaemConfig:
+    """Strict parser of a ``saem`` block (study, ``scorefim fit``) for
+    ``model``, whose latent dimension ``proposal_scales`` must match; the
     caller sets the seed."""
     raw = _config_block(raw, "saem", _SAEM_KEYS)
+    scales = _config_value(raw, "proposal_scales", _vector)
+    if scales is not None and scales.size != model.latent_dim:
+        raise ConfigError(
+            f"proposal_scales needs one entry per latent coordinate of {model.name} "
+            f"({model.latent_dim}), got {scales.size}"
+        )
     return SaemConfig(
         schedule=StepSchedule(
             burn_in=_config_value(raw, "burn_in", int, 1000),
@@ -231,8 +238,7 @@ def parse_saem_config(raw: dict) -> SaemConfig:
         ),
         total_iterations=_config_value(raw, "total_iterations", int, 3000),
         mh_transitions_per_iter=_config_value(raw, "mh_transitions_per_iter", int, 5),
-        proposal_scales=_config_value(raw, "proposal_scales", _vector),
-        averaging=raw.get("averaging", "off"),
+        proposal_scales=scales,
         thin=_config_value(raw, "thin", int, 1),
     )
 
@@ -264,7 +270,7 @@ def parse_study_config(raw: dict) -> StudyConfig:
         raise ConfigError(f"unknown study kind {kind!r}")
     model, theta = parse_model_theta(raw, "theta_star")
     design = parse_design_config(raw["design"])
-    saem = parse_saem_config(raw["saem"]) if "saem" in raw else None
+    saem = parse_saem_config(raw["saem"], model) if "saem" in raw else None
     route = fit_route(raw["model"])
     config = StudyConfig(
         kind=kind,

@@ -28,6 +28,39 @@ def lmm_data(lmm, lmm_theta):
     return simulate_dataset(lmm, lmm_theta, Design(n=40, n_obs=12), seed=101)
 
 
+class RecordingLmm(LinearMixedModel):
+    """LinearMixedModel keeping a copy of every ``statistics`` output and of
+    every ``argmax_complete`` input, in call order: in a plain ``run_saem``
+    run these are S(Z^0), S(Z^1), ..., S(Z^K) and s^1, ..., s^K."""
+
+    def __init__(self):
+        super().__init__()
+        self.drawn, self.relaxed = [], []
+
+    def statistics(self, dataset, Z):
+        out = super().statistics(dataset, Z)
+        self.drawn.append(out.copy())
+        return out
+
+    def argmax_complete(self, dataset, stats):
+        self.relaxed.append(stats.copy())
+        return super().argmax_complete(dataset, stats)
+
+    def assert_in_hull(self, tol=1e-12):
+        """Each s^k lies, coordinate by coordinate, within tol of the range
+        of S(Z^0), ..., S(Z^k)."""
+        drawn, relaxed = np.stack(self.drawn), np.stack(self.relaxed)
+        assert len(drawn) == len(relaxed) + 1
+        lo = np.minimum.accumulate(drawn)[1:]
+        hi = np.maximum.accumulate(drawn)[1:]
+        assert np.all(relaxed >= lo - tol) and np.all(relaxed <= hi + tol)
+
+
+@pytest.fixture
+def recording_lmm():
+    return RecordingLmm()
+
+
 @pytest.fixture(scope="session")
 def poisson():
     return PoissonMixtureModel(n_components=3)

@@ -201,7 +201,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     ("saem", {"garbage": 1}),
     ("saem", [40, 120]),
     ("saem", {"burn_in": 50, "total_iterations": 50}),
-    ("saem", {"averaging": "sometimes"}),
+    ("saem", {"averaging": "on_after_burn_in"}),
+    ("saem", {"proposal_scales": [0.5, 0.5]}),
+    ("saem", {"proposal_scales": [float("nan")]}),
 ])
 def test_bad_block_rejected_by_study_and_cli(tmp_path, lmm_sim_config, block, bad):
     # one schema: the study parser and the CLI reject the same blocks
@@ -219,6 +221,7 @@ def test_bad_block_rejected_by_study_and_cli(tmp_path, lmm_sim_config, block, ba
         assert main(["simulate", "--config", lmm_sim_config, "--out", data]) == 0
         fit = _write(tmp_path / "fit.json", {"model": "lmm", "saem": bad})
         assert main(["fit", "--config", fit, "--data", data, "--out", str(tmp_path / "f")]) == 2
+        assert not (tmp_path / "f").exists()
 
 
 def _bias_study_raw(**over):

@@ -122,14 +122,15 @@ def test_mh_detailed_balance_smoke(lmm, lmm_theta):
     assert abs(lhs - rhs) < 4.0 * se + 1e-12
 
 
-def test_gamma_one_erases_history(lmm, lmm_data, lmm_theta):
+def test_gamma_one_erases_history(recording_lmm, lmm_data, lmm_theta):
     # gamma = 1 at every iteration: the statistics are those of the last draw
     cfg = SaemConfig(
         schedule=StepSchedule(burn_in=5, burn_value=1.0, exponent=0.6),
         total_iterations=6, seed=3,
     )
-    state = run_saem(lmm, lmm_data, cfg, theta0=lmm_theta).state
-    np.testing.assert_array_equal(state.stats, lmm.statistics(lmm_data, state.latents))
+    run_saem(recording_lmm, lmm_data, cfg, theta0=lmm_theta)
+    assert len(recording_lmm.relaxed) == 6
+    np.testing.assert_array_equal(np.stack(recording_lmm.relaxed), np.stack(recording_lmm.drawn[1:]))
 
 
 def test_point_mass_conditional_reduces_to_deterministic_em(lmm, lmm_theta):
@@ -175,31 +176,26 @@ def test_saem_converges_to_marginal_mle(lmm, lmm_theta):
 
     cfg = SaemConfig(
         schedule=StepSchedule(burn_in=500, burn_value=0.95, exponent=0.6),
-        total_iterations=2000, seed=11, averaging="on_after_burn_in",
+        total_iterations=2000, seed=11,
     )
     out = run_saem(lmm, ds, cfg)
-    np.testing.assert_allclose(out.theta_averaged.values, mle, rtol=1e-2)
     np.testing.assert_allclose(out.theta.values, mle, rtol=4e-2)
 
 
 def test_seed_determinism(lmm, lmm_data):
     cfg = SaemConfig(
         schedule=paper_schedule(50), total_iterations=120, seed=12,
-        averaging="on_after_burn_in",
     )
     a = run_saem(lmm, lmm_data, cfg)
     b = run_saem(lmm, lmm_data, cfg)
     np.testing.assert_array_equal(a.trajectories["theta"], b.trajectories["theta"])
     np.testing.assert_array_equal(a.fim.entries, b.fim.entries)
-    np.testing.assert_array_equal(a.fim_averaged.entries, b.fim_averaged.entries)
 
 
-def test_convex_hull_invariant(lmm, lmm_data):
+def test_convex_hull_invariant(recording_lmm, lmm_data):
     cfg = SaemConfig(schedule=paper_schedule(30), total_iterations=90, seed=13)
-    out = run_saem(lmm, lmm_data, cfg)
-    s = out.state.stats
-    lo, hi = out.state.stat_history_min, out.state.stat_history_max
-    assert np.all(s >= lo - 1e-12) and np.all(s <= hi + 1e-12)
+    run_saem(recording_lmm, lmm_data, cfg)
+    recording_lmm.assert_in_hull(1e-12)
 
 
 def test_fim_byproduct_psd_symmetric(lmm, lmm_data):
@@ -301,15 +297,6 @@ def test_louis_lmm_matches_analytic_observed_fim(lmm, lmm_theta):
     analytic = -(lmm.marginal_hessian(ds, res.theta)).mean(axis=0)
     rel = np.abs(np.diag(louis.entries) - np.diag(analytic)) / np.abs(np.diag(analytic))
     assert np.all(rel < 0.02)
-
-
-def test_averaged_estimate_present(lmm, lmm_data):
-    cfg = SaemConfig(schedule=paper_schedule(50), total_iterations=200, seed=17,
-                     averaging="on_after_burn_in")
-    out = run_saem(lmm, lmm_data, cfg)
-    assert out.theta_averaged is not None
-    assert out.fim_averaged is not None
-    assert out.fim_averaged.is_psd()
 
 
 def test_trajectory_thinning(lmm, lmm_data):
