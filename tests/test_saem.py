@@ -123,7 +123,7 @@ def test_mh_detailed_balance_smoke(lmm, lmm_theta):
 
 
 def test_gamma_one_erases_history(recording_lmm, lmm_data, lmm_theta):
-    # gamma = 1 at every iteration: the statistics are those of the last draw
+    # gamma = 1 at every iteration: each s^k is the statistic of draw k alone
     cfg = SaemConfig(
         schedule=StepSchedule(burn_in=5, burn_value=1.0, exponent=0.6),
         total_iterations=6, seed=3,
