@@ -39,6 +39,7 @@ _MAX_STEP = 1.0  # largest step per row and coordinate
 _MAX_HALVINGS = 40
 _EIG_FLOOR = 1e-4  # eigenvalue floor of the curvature
 _T_DF = 5.0  # degrees of freedom of the multivariate-t proposal
+MIN_ESS = 200.0  # smallest importance-sampling ESS an individual may have
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def conditional_moments(
     theta: ParamVector,
     n_draws: int = 100_000,
     seed: int = 0,
-    min_ess: float = 200.0,
+    min_ess: float = MIN_ESS,
     threads: int = 1,
 ) -> ConditionalMoments:
     """Per-individual conditional moments at theta by Laplace-IS.

@@ -110,7 +110,12 @@ class Dataset:
         """The rows at ``indices``, in their order and repeats allowed, as a
         new dataset whose columns are cut to the longest of these records."""
         at = np.asarray(indices, dtype=int)
-        return Dataset.from_arrays(*self._take(at, self._n_obs[at].max(initial=1)))
+        cut = (at, slice(self._n_obs[at].max(initial=1)))
+        return Dataset.from_arrays(
+            self.y[cut], self._n_obs[at], None if self.times is None else self.times[cut],
+            None if self.doses is None else self.doses[at],
+            None if self.latent_truth is None else self.latent_truth[at],
+        )
 
     def replicate(self, n: int) -> "Dataset":
         """n copies of this dataset's one individual, every column a read-only
@@ -121,21 +126,6 @@ class Dataset:
             None if a is None else np.broadcast_to(a, (n, *a.shape[1:]))
             for a in (self.y, self._n_obs, self.times, self.doses)
         ), None)
-
-    def rows(self, start: int, stop: int) -> "Dataset":
-        """Rows start:stop as a dataset viewing these columns, all J slots
-        kept; it runs no checks (the columns passed them)."""
-        return self._wrap(*self._take(slice(start, stop), None))
-
-    def _take(self, rows, J):
-        """The columns (y, n_obs, times, doses, latent_truth) at ``rows``,
-        ``y`` and ``times`` cut to their first J slots (all for None)."""
-        cut = (rows, slice(J))
-        return (
-            self.y[cut], self._n_obs[rows], None if self.times is None else self.times[cut],
-            None if self.doses is None else self.doses[rows],
-            None if self.latent_truth is None else self.latent_truth[rows],
-        )
 
     def memo(self, key: str, builder):
         """Cache a derived view on this immutable dataset (columns never change)."""

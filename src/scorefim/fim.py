@@ -1,9 +1,12 @@
-"""Direct Fisher-information estimators and Wald intervals.
+"""Direct Fisher-information estimators, their Monte-Carlo reference and
+Wald intervals.
 
 Two moment estimators of the FIM from an n-sample: the averaged outer product
 of observed-data scores (PSD by construction) and minus the averaged Hessian
 (not PSD-projected; negative eigenvalues are diagnostically meaningful away
-from the MLE).
+from the MLE).  The reference I(theta) they are judged against averages the
+score products of fresh individuals simulated in keyed blocks of _MC_BLOCK
+draws (``mc_reference_fim``).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -38,7 +41,8 @@ PROVENANCES = (
 )
 _PSD_PROVENANCES = {"score", "conditional-score", "sa-byproduct"}
 
-# draws per block of the Monte-Carlo references: a block's (B, p, p) arrays
+# draws per block of the Monte-Carlo references, which simulate (the direct
+# route) and evaluate the model one block at a time: a block's (B, p, p) arrays
 # take 8 p^2 bytes per draw each, so the two a block holds at once (about
 # 1.6 MB at p = 7) stay in a 2 MiB L2 cache
 _MC_BLOCK = 2048
@@ -168,17 +172,14 @@ def mc_reference_fim(
     design: Design,
     n_draws: int,
     seed: int,
-    chunk_size: int = 100_000,
 ) -> FimMatrix:
     """Reference I(theta) from N fresh simulated individuals' observed scores.
 
-    Draws are partitioned into chunks with independent keyed streams and the
-    partial sums reduced in fixed chunk order, so a parallel schedule cannot
-    change the result.  Within a chunk the scores and their outer products
-    are formed _MC_BLOCK rows at a time and summed in row order, so the
-    working set is bounded by the block, not by the draws, and the result is
-    the one a whole-chunk sum gives.  Per-entry Monte-Carlo standard errors
-    are attached.
+    The draws are simulated, scored and summed _MC_BLOCK at a time: block b
+    comes from its own keyed stream (seed, 1, b), and its score products are
+    carried into the running sums in block order, so the working set is one
+    block, not the draws, and the result is the one a single sum over all
+    draws gives.  Per-entry Monte-Carlo standard errors are attached.
     """
     if n_draws < 10_000:
         raise DomainViolation("mc_reference_fim needs at least 1e4 draws", component="n_draws")
@@ -186,24 +187,12 @@ def mc_reference_fim(
     p = theta.p
     sum1 = np.zeros((p, p))
     sum2 = np.zeros((p, p))
-    done = 0
-    chunk = 0
-    while done < n_draws:
-        m = min(chunk_size, n_draws - done)
-        rng = substream(seed, 1, chunk)
-        sub = Design(n=m, n_obs=design.n_obs, times=design.times, dose=design.dose)
-        ds = model.simulate(theta, sub, rng)
-        part1 = np.zeros((p, p))
-        part2 = np.zeros((p, p))
-        for start in range(0, m, _MC_BLOCK):
-            s = model.marginal_score(ds.rows(start, start + _MC_BLOCK), theta)
-            outer = np.einsum("ij,ik->ijk", s, s)
-            part2 = _carried_sum(outer**2, part2)
-            part1 = _carried_sum(outer, part1)
-        sum1 += part1
-        sum2 += part2
-        done += m
-        chunk += 1
+    for b, start in enumerate(range(0, n_draws, _MC_BLOCK)):
+        block = replace(design, n=min(_MC_BLOCK, n_draws - start))
+        s = model.marginal_score(model.simulate(theta, block, substream(seed, 1, b)), theta)
+        outer = np.einsum("ij,ik->ijk", s, s)
+        sum2 = _carried_sum(outer**2, sum2)
+        sum1 = _carried_sum(outer, sum1)
     mean = sum1 / n_draws
     var = sum2 / n_draws - mean**2
     se = np.sqrt(np.maximum(var, 0.0) / n_draws)

@@ -270,13 +270,16 @@ class PkNlmeModel(ExpoFamilyModel):
         J = dataset.n_obs().astype(float)
         dev = Z - np.log(pops)
         rss = _rss_per_individual(dataset, Z)
+        # each entry's last operation writes into its slot of H (the mirrored
+        # cross term is copied from its twin): no temporary is made and copied
         H = np.zeros((dataset.n, 7, 7))
         for c in range(3):
             ip, io = self._POP[c], self._OM[c]
-            H[:, ip, ip] = -(1.0 + dev[:, c]) / (oms[c] * pops[c] ** 2)
-            H[:, io, io] = 0.5 / oms[c] ** 2 - dev[:, c] ** 2 / oms[c] ** 3
-            H[:, ip, io] = H[:, io, ip] = -dev[:, c] / (oms[c] ** 2 * pops[c])
-        H[:, 6, 6] = J / (2.0 * sigma2**2) - rss / sigma2**3
+            d = dev[:, c]
+            np.divide(-(1.0 + d), oms[c] * pops[c] ** 2, out=H[:, ip, ip])
+            np.subtract(0.5 / oms[c] ** 2, d**2 / oms[c] ** 3, out=H[:, io, io])
+            H[:, io, ip] = np.divide(-d, oms[c] ** 2 * pops[c], out=H[:, ip, io])
+        np.subtract(J / (2.0 * sigma2**2), rss / sigma2**3, out=H[:, 6, 6])
         return H
 
     # --- simulation / sampling ---------------------------------------------

@@ -1,6 +1,6 @@
 """Counter-based splittable random streams.
 
-Every stochastic unit of work (replicate, chunk, run) receives its own
+Every stochastic unit of work (replicate, block, run) receives its own
 Philox generator keyed by ``(master_seed, *path)``.  Streams are independent
 of execution order, so parallel schedules cannot change results.
 """

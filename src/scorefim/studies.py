@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .condoracle import conditional_moments, reference_fims
+from .condoracle import MIN_ESS, conditional_moments, reference_fims
 from .data import Dataset, Design
 from .errors import ConfigError, NumericalError, ScorefimError
 from .fim import (
@@ -39,7 +39,7 @@ from .saem import SaemConfig, StepSchedule, run_saem
 from .saem_general import PRUNE_EPSILON, check_buffer_schedule, run_general_saem
 
 # stream namespaces: replicate groups start at 100; 1 is reserved for
-# mc_reference_fim chunks, 2 for conditional-moment oracles
+# mc_reference_fim blocks, 2 for conditional-moment oracles
 _GROUP_DATA = 100
 _GROUP_FIT = 200
 
@@ -315,6 +315,11 @@ def parse_study_config(raw: dict) -> StudyConfig:
             f"saem_replication runs SAEM with the Louis comparator, which needs a "
             f"curved-exponential model with a complete Hessian; {config.model} is not one"
         )
+    if kind == "saem_replication" and config.n_mc < MIN_ESS:
+        raise ConfigError(
+            f"n_mc {config.n_mc} is below the oracle's minimum effective sample size "
+            f"{MIN_ESS:g}; the importance-sampling ESS never exceeds the draws"
+        )
     if config.reference_theta != "terminal_mean":
         validate_params(model, model.make_params(config.reference_theta))
     needs_saem = kind == "saem_replication" or (
@@ -359,19 +364,26 @@ def _bias_worker(payload):
     return _direct_estimates(model, config, n, n_idx, m)
 
 
-def _reference_matrix(model, config: StudyConfig) -> FimMatrix:
+def _reference_matrix(model, config: StudyConfig) -> tuple[FimMatrix, dict]:
+    """The reference I(theta*) and its cost for the manifest: wall seconds
+    and Monte-Carlo draws (0 for the LMM's closed form)."""
+    t0 = time.perf_counter()
     if config.model == "lmm":
-        return lmm_analytic_fim(config.theta_star, config.design.n_obs)
-    return mc_reference_fim(
-        model, config.theta_star, replace(config.design, n=1),
-        n_draws=config.n_mc, seed=config.seed,
-    )
+        reference, draws = lmm_analytic_fim(config.theta_star, config.design.n_obs), 0
+    else:
+        reference, draws = mc_reference_fim(
+            model, config.theta_star, replace(config.design, n=1),
+            n_draws=config.n_mc, seed=config.seed,
+        ), config.n_mc
+    cost = {"reference_s": round(time.perf_counter() - t0, 3), "reference_draws": draws}
+    return reference, cost
 
 
 def _bias_samples(config: StudyConfig, threads: int):
     """The reference matrix, the per-(estimator, n) bias/RMSD tables, the
-    deviation samples behind them and the rows of bias_rmsd.csv."""
-    reference = _reference_matrix(_model_for(config), config)
+    deviation samples behind them, the rows of bias_rmsd.csv and the
+    reference's cost for the manifest."""
+    reference, cost = _reference_matrix(_model_for(config), config)
     names = config.theta_star.names
     p = len(names)
     tables = {}
@@ -396,23 +408,24 @@ def _bias_samples(config: StudyConfig, threads: int):
                     )
             if not np.all(rmsd + 1e-300 >= np.abs(bias)):
                 raise NumericalError("RMSD fell below |bias|")  # Jensen violated: bug
-    return reference, tables, samples, rows
+    return reference, tables, samples, rows, cost
 
 
 def _bias_study(config: StudyConfig, threads: int):
     """Per-component empirical bias and root mean squared deviation, per n."""
-    reference, tables, samples, rows = _bias_samples(config, threads)
+    reference, tables, samples, rows, cost = _bias_samples(config, threads)
     report = StudyReport(
         kind="bias_table", tables=tables, files=(), m_effective=config.M, failures=0,
         extras={"reference": reference, "samples": samples},
     )
     header = ["estimator", "n", "component_row", "component_col", "bias", "rmsd", "mc_se", "M"]
-    return report, {"bias_rmsd.csv": (header, rows)}, {"param_names": list(config.theta_star.names)}
+    manifest = {"param_names": list(config.theta_star.names), **cost}
+    return report, {"bias_rmsd.csv": (header, rows)}, manifest
 
 
 def _density_study(config: StudyConfig, threads: int):
     """Kernel densities of sqrt(n) (I_hat - I_ref) for selected components."""
-    samples = _bias_samples(config, threads)[2]
+    _, _, samples, _, cost = _bias_samples(config, threads)
     names = list(config.theta_star.names)
     components = config.components or _default_components(config)
     dens_rows = {est: [] for est in config.estimators}
@@ -444,7 +457,7 @@ def _density_study(config: StudyConfig, threads: int):
     tables["moments.csv"] = (
         ["estimator", "n", "component", "skewness", "excess_kurtosis", "M"], moment_rows,
     )
-    return report, tables, {}
+    return report, tables, cost
 
 
 def _default_components(config: StudyConfig):

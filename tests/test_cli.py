@@ -235,7 +235,7 @@ def _replication_raw(**over):
     from scorefim.presets import preset_config
 
     raw = preset_config("pk_replication", desk=True)
-    raw.update(M=2, n_mc=2_000, design={**raw["design"], "n": 8}, **over)
+    raw.update({"M": 2, "n_mc": 2_000, "design": {**raw["design"], "n": 8}, **over})
     raw["saem"].update(burn_in=20, total_iterations=60)
     return raw
 
@@ -257,6 +257,7 @@ def _replication_raw(**over):
     _bias_study_raw(kind="coverage", design={"n": 30}, saem={"burn_in": 20, "total_iterations": 60}),
     _replication_raw(model="pk_nlme_fixed_v", theta_star=[1.6, 31.0, 1.8, 0.4, 0.4, 0.75]),
     _replication_raw(reference_theta=[1.6, 31.0, 1.8]),
+    _replication_raw(n_mc=100),  # below the oracle's minimum ESS of 200
 ])
 def test_config_errors_exit_2_before_any_replicate(tmp_path, monkeypatch, capsys, raw):
     # every limit a config can be seen to break is found when it is parsed

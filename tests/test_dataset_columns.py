@@ -255,26 +255,13 @@ def test_simulate_builds_no_records(request, key, dataset_count):
 
 
 def test_mc_reference_fim_builds_no_records(poisson, poisson_theta, dataset_count):
-    # per chunk of 10,000 draws one simulated dataset, checked once, and one
-    # row view per block of _MC_BLOCK draws
-    fim = mc_reference_fim(poisson, poisson_theta, Design(n=1), n_draws=20_000, seed=15,
-                           chunk_size=10_000)
-    views = -(-10_000 // _MC_BLOCK)
+    # per block of _MC_BLOCK draws one simulated dataset, checked once
+    fim = mc_reference_fim(poisson, poisson_theta, Design(n=1), n_draws=20_000, seed=15)
+    blocks = -(-20_000 // _MC_BLOCK)
     assert np.isfinite(fim.entries).all()
-    assert dataset_count == {"built": 2 * (1 + views), "checked": 2}
+    assert dataset_count == {"built": blocks, "checked": blocks}
     poisson.exact_fim(poisson_theta)
-    assert dataset_count == {"built": 2 * (1 + views) + 1, "checked": 3}
-
-
-def test_rows_view_a_range_of_rows(pk, pk_theta, dataset_count):
-    ds = simulate_dataset(pk, pk_theta, Design(n=7, times=PK_TIMES, dose=320.0), seed=16)
-    part = ds.rows(2, 5)
-    assert part.n == 3 and dataset_count == {"built": 2, "checked": 1}
-    for name in ("y", "times", "doses", "latent_truth"):
-        assert np.array_equal(getattr(part, name), getattr(ds, name)[2:5]), name
-    assert np.array_equal(part.n_obs(), ds.n_obs()[2:5])
-    assert not part.y.flags.writeable and np.shares_memory(part.y, ds.y)
-    assert ds.rows(5, 99).n == 2
+    assert dataset_count == {"built": blocks + 1, "checked": blocks + 1}
 
 
 def test_replicate_repeats_a_one_row_dataset(pk_data):

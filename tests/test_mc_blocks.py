@@ -1,15 +1,18 @@
 """The Monte-Carlo references evaluated in blocks of draws give the bits of
 their whole-array forms, in bounded memory.
 
-``mc_reference_fim`` and the oracle's ``_individual_moments`` run the model
-on blocks of ``_MC_BLOCK`` draws and carry their sums from block to block.
-The reference functions below are their whole-array forms: one model call
-on all of a chunk's (an individual's) draws and one reduction over them.
-Each check asserts equal bits, not closeness.
+``mc_reference_fim`` simulates and scores one block of ``_MC_BLOCK`` draws
+at a time, each from its own keyed stream, and the oracle's
+``_individual_moments`` runs the model on blocks of an individual's draws;
+both carry their sums from block to block.  The reference functions below
+are their whole-array forms: the blocks' scores (an individual's draws)
+gathered into one array and reduced once.  Each check asserts equal bits,
+not closeness.
 """
 
 import functools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,26 +26,18 @@ from scorefim.modelbase import validate_params
 from scorefim.rng import substream
 
 
-def _ref_mc_reference_fim(model, theta, design, n_draws, seed, chunk_size=100_000):
+def _ref_mc_reference_fim(model, theta, design, n_draws, seed):
     validate_params(model, theta)
-    p = theta.p
-    sum1 = np.zeros((p, p))
-    sum2 = np.zeros((p, p))
-    done = 0
-    chunk = 0
-    while done < n_draws:
-        m = min(chunk_size, n_draws - done)
-        rng = substream(seed, 1, chunk)
-        sub = Design(n=m, n_obs=design.n_obs, times=design.times, dose=design.dose)
-        ds = model.simulate(theta, sub, rng)
-        s = model.marginal_score(ds, theta)
-        outer = np.einsum("ij,ik->ijk", s, s)
-        sum1 += outer.sum(axis=0)
-        sum2 += (outer**2).sum(axis=0)
-        done += m
-        chunk += 1
-    mean = sum1 / n_draws
-    var = sum2 / n_draws - mean**2
+    blocks = range(0, n_draws, _MC_BLOCK)
+    s = np.concatenate([
+        model.marginal_score(model.simulate(
+            theta, replace(design, n=min(_MC_BLOCK, n_draws - start)), substream(seed, 1, b),
+        ), theta)
+        for b, start in enumerate(blocks)
+    ])
+    outer = np.einsum("ij,ik->ijk", s, s)
+    mean = outer.sum(axis=0) / n_draws
+    var = (outer**2).sum(axis=0) / n_draws - mean**2
     se = np.sqrt(np.maximum(var, 0.0) / n_draws)
     return FimMatrix(_symmetrize_exact(mean), "mc-reference", n_draws, theta.names, mc_se=se)
 
@@ -104,17 +99,17 @@ def test_carried_sum_continues_the_axis_0_sum(rows, block):
 
 
 @pytest.mark.parametrize("key", ["lmm", "poisson", "gmm"])
-@pytest.mark.parametrize("n_draws, chunk_size", [
-    (23_457, 10_000),  # partial last chunk; every chunk ends in a partial block
-    (10_000, 2 * _MC_BLOCK),  # whole-block chunks, then a partial one
-    (100_003, 100_000),  # the default chunk
+@pytest.mark.parametrize("n_draws", [
+    10_000,  # the fewest draws allowed: 4 whole blocks and a partial one
+    23_457,  # a partial last block of 929 draws
+    100_003,  # 48 whole blocks and a partial one of 1,699
 ])
-def test_mc_reference_fim_matches_whole_chunk_form(request, key, n_draws, chunk_size):
+def test_mc_reference_fim_matches_whole_draw_form(request, key, n_draws):
     model, theta = (request.getfixturevalue(n) for n in (key, f"{key}_theta"))
     assert model.has_marginal_score
     design = Design(n=1, n_obs=12) if key == "lmm" else Design(n=1)
-    new = mc_reference_fim(model, theta, design, n_draws, seed=17, chunk_size=chunk_size)
-    ref = _ref_mc_reference_fim(model, theta, design, n_draws, seed=17, chunk_size=chunk_size)
+    new = mc_reference_fim(model, theta, design, n_draws, seed=17)
+    ref = _ref_mc_reference_fim(model, theta, design, n_draws, seed=17)
     assert _same_bits(new.entries, ref.entries)
     assert _same_bits(new.mc_se, ref.mc_se)
 
@@ -159,11 +154,12 @@ def _traced_peak_mib(fn):
 
 
 def test_mc_reference_fim_memory_bounded_by_the_block(poisson, poisson_theta):
-    # the whole-chunk form peaked at 44 MiB traced here, the blocked one at 7
+    # simulating 100,000-draw chunks peaked at 7.35 MiB traced here, one
+    # block simulated at a time at 0.93
     peak = _traced_peak_mib(
         lambda: mc_reference_fim(poisson, poisson_theta, Design(n=1), n_draws=200_000, seed=3)
     )
-    assert peak < 16.0
+    assert peak < 2.0
 
 
 def test_oracle_task_memory_bounded_by_the_block(pk, pk_theta, pk_data):

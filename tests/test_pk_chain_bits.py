@@ -3,7 +3,8 @@
 ``_metropolis``, ``_mh_sweep``, ``_rss_per_individual`` and both PK
 ``complete_loglik``s merge rows in place, keep theta-only terms per theta and
 reuse the kept latents' array; ``PkNlmeModel.dpsi`` and ``dphi`` build their
-theta-only row once.  The reference functions below are their plain forms:
+theta-only row once, and ``complete_hessian`` writes each entry's last
+operation into its slot.  The reference functions below are their plain forms:
 fresh arrays, boolean-mask merges, column-by-column fills and every term
 recomputed on every call.  Each check asserts equal bits, not closeness.
 """
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scorefim import Dataset
+from scorefim import Dataset, Design
 from scorefim.models import pk_prediction
 from scorefim.models.pk import _LOG2PI, PkNlmeModel, _design_arrays, _rss_per_individual
 from scorefim.rng import substream
@@ -59,6 +60,21 @@ def _ref_dpsi(model, dataset, theta):
         out[:, model._OM[c]] = 0.5 / oms[c] - np.log(pops[c]) ** 2 / (2.0 * oms[c] ** 2)
     out[:, 6] = 0.5 * J / sigma2
     return out
+
+
+def _ref_complete_hessian(model, dataset, Z, theta):
+    pops, oms, sigma2 = model._unpack(theta)
+    J = dataset.n_obs().astype(float)
+    dev = Z - np.log(pops)
+    rss = _ref_rss(dataset, Z)
+    H = np.zeros((dataset.n, 7, 7))
+    for c in range(3):
+        ip, io = model._POP[c], model._OM[c]
+        H[:, ip, ip] = -(1.0 + dev[:, c]) / (oms[c] * pops[c] ** 2)
+        H[:, io, io] = 0.5 / oms[c] ** 2 - dev[:, c] ** 2 / oms[c] ** 3
+        H[:, ip, io] = H[:, io, ip] = -dev[:, c] / (oms[c] ** 2 * pops[c])
+    H[:, 6, 6] = J / (2.0 * sigma2**2) - rss / sigma2**3
+    return H
 
 
 def _ref_dphi(model, dataset, theta):
@@ -243,3 +259,21 @@ def test_dpsi_and_dphi_match_the_column_fills(pk, pk_data):
             assert np.array_equal(dpsi, _ref_dpsi(pk, ds, theta))
             assert np.array_equal(dphi, _ref_dphi(pk, ds, theta))
             assert dpsi.flags.c_contiguous and dphi.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [50, 2048])
+def test_complete_hessian_matches_the_column_writes(pk, pk_theta, pk_data, n):
+    # n = 2048 is one oracle block; random thetas over many decades, and
+    # latents whose exp overflows or underflows
+    ds = pk.simulate(pk_theta, Design(n=n, times=pk_data.times[0], dose=320.0), substream(18, 0))
+    rng = substream(18, 1)
+    for extreme in (False, True):
+        Z = _rows(pk, ds, pk_theta, 19, extreme)
+        for _ in range(20):
+            theta = pk.make_params(np.exp(rng.uniform(-6.0, 6.0, 7)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = _ref_complete_hessian(pk, ds, Z, theta)
+            got = pk.complete_hessian(ds, Z, theta)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous

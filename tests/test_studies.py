@@ -64,7 +64,18 @@ def test_bias_study_report(tmp_path):
     assert path.exists()
     header = path.read_text().splitlines()[0]
     assert header == "estimator,n,component_row,component_col,bias,rmsd,mc_se,M"
-    assert (Path(tmp_path) / "bias_table" / "manifest.json").exists()
+    manifest = json.loads((Path(tmp_path) / "bias_table" / "manifest.json").read_text())
+    # the LMM's reference is closed-form: no draws
+    assert manifest["reference_draws"] == 0 and manifest["reference_s"] >= 0
+
+
+@pytest.mark.parametrize("kind", ["bias_table", "density"])
+def test_manifest_records_the_mc_reference_cost(tmp_path, kind):
+    raw = preset_config("poisson_bias", desk=True)
+    raw.update(kind=kind, n_values=[20], M=4, n_mc=10_000)
+    run_study(parse_study_config(raw), out_dir=tmp_path, threads=1)
+    manifest = json.loads((tmp_path / kind / "manifest.json").read_text())
+    assert manifest["reference_draws"] == 10_000 and manifest["reference_s"] > 0
 
 
 def test_bias_study_threads_deterministic(tmp_path):
