@@ -155,7 +155,7 @@ def _traced_peak_mib(fn):
 
 def test_mc_reference_fim_memory_bounded_by_the_block(poisson, poisson_theta):
     # simulating 100,000-draw chunks peaked at 7.35 MiB traced here, one
-    # block simulated at a time at 0.93
+    # block simulated at a time at 0.86
     peak = _traced_peak_mib(
         lambda: mc_reference_fim(poisson, poisson_theta, Design(n=1), n_draws=200_000, seed=3)
     )
